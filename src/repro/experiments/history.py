@@ -8,20 +8,16 @@ re-running an identical experiment is a pure lookup (zero trial
 executions) and two experiment designs can be diffed without re-running
 either.
 
-Identity and hardening follow :mod:`repro.experiments.snapshot_store`:
-
-* the **identity** of an entry is the canonical JSON of ``{format,
-  fingerprint, root_seed, config, mode}`` — ``fingerprint`` is
-  ``SweepSpec.fingerprint()``, ``config`` the effective-config digest
-  and ``mode`` the run mode (overlay reuse, dissemination core, and the
-  adaptive-allocation settings when used), all of which change output
-  bytes and therefore key the store;
-* every entry embeds a full SHA-256 over its canonical payload, and
-  loading validates format, identity, integrity, and result sanity —
-  truncated, bit-flipped, or hand-edited entries are a cache **miss**,
-  never a crash;
-* writes are atomic (unique temp file + ``os.replace``) so concurrent
-  sweeps sharing a store cannot observe torn entries.
+The **identity** of an entry is the canonical JSON of ``{format,
+fingerprint, root_seed, config, mode}`` — ``fingerprint`` is
+``SweepSpec.fingerprint()``, ``config`` the effective-config digest and
+``mode`` the run mode (overlay reuse, dissemination core, and the
+adaptive-allocation settings when used), all of which change output
+bytes and therefore key the store. Entry files are framed, read,
+written and evicted by :mod:`repro.common.castore` (``RHISTZ1`` magic,
+sealed, no trailing newline); on top of its miss-never-crash read,
+loading validates format, identity and result sanity, so a hand-edited
+or mismatched entry is a **miss** too.
 
 ``repro history list/show/gc`` exposes the store on the command line;
 :func:`diff_sweeps` + :func:`render_sweep_diff` implement the per-cell
@@ -33,14 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.common import castore
 from repro.common.errors import ConfigurationError
 from repro.experiments.sweep_results import (
     CellSummary,
@@ -68,10 +62,8 @@ __all__ = [
 
 HISTORY_FORMAT = 1
 
-# Compressed-entry framing, mirroring the snapshot store: a short magic
-# so plain-JSON and deflated entries coexist in one directory.
+# Header marking a zlib-deflated entry file.
 _ENTRY_MAGIC = b"RHISTZ1\n"
-_ENTRY_DEFLATE_MIN_BYTES = 4096
 
 
 def history_mode(
@@ -124,37 +116,8 @@ def history_path(store_dir: Path, address: str) -> Path:
 
 
 # ----------------------------------------------------------------------
-# entry encoding / integrity
+# entry validation
 # ----------------------------------------------------------------------
-
-
-def _entry_integrity(entry: Mapping[str, Any]) -> str:
-    payload = {k: v for k, v in entry.items() if k != "sha256"}
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()
-
-
-def _encode_entry_bytes(entry: Mapping[str, Any]) -> bytes:
-    raw = canonical_json(dict(entry)).encode("utf-8")
-    if len(raw) >= _ENTRY_DEFLATE_MIN_BYTES:
-        packed = _ENTRY_MAGIC + zlib.compress(raw, 6)
-        if len(packed) < len(raw):
-            return packed
-    return raw
-
-
-def _parse_entry_bytes(raw: bytes) -> Optional[Dict[str, Any]]:
-    if raw.startswith(_ENTRY_MAGIC):
-        try:
-            raw = zlib.decompress(raw[len(_ENTRY_MAGIC) :])
-        except zlib.error:
-            return None
-    try:
-        entry = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        return None
-    return entry if isinstance(entry, dict) else None
 
 
 def _decode_result(entry: Mapping[str, Any]) -> Optional[SweepResult]:
@@ -178,20 +141,9 @@ def _decode_result(entry: Mapping[str, Any]) -> Optional[SweepResult]:
 
 
 def _read_entry(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse + integrity-check one entry file; ``None`` on any defect."""
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    entry = _parse_entry_bytes(raw)
-    if entry is None:
-        return None
-    if entry.get("format") != HISTORY_FORMAT:
-        return None
-    stored = entry.get("sha256")
-    if not isinstance(stored, str):
-        return None
-    if stored != _entry_integrity(entry):
+    """One intact entry file of this format; ``None`` on any defect."""
+    entry = castore.read_entry(path, _ENTRY_MAGIC)
+    if entry is None or entry.get("format") != HISTORY_FORMAT:
         return None
     return entry
 
@@ -300,8 +252,6 @@ def store_history_entry(
     adaptive: Optional[Mapping[str, Any]] = None,
 ) -> Path:
     """Persist one completed sweep; returns the entry path."""
-    store_dir = Path(store_dir)
-    store_dir.mkdir(parents=True, exist_ok=True)
     identity = _identity_payload(spec, root_seed, config_digest, mode)
     address = history_address(spec, root_seed, config_digest, mode)
     entry: Dict[str, Any] = {
@@ -313,13 +263,12 @@ def store_history_entry(
     }
     if adaptive is not None:
         entry["adaptive"] = dict(adaptive)
-    entry["sha256"] = _entry_integrity(entry)
-    path = history_path(store_dir, address)
-    suffix = f".tmp{os.getpid():x}-{threading.get_ident() & 0xFFFFFF:x}"
-    tmp = path.with_name(path.name + suffix)
-    tmp.write_bytes(_encode_entry_bytes(entry))
-    os.replace(tmp, path)
-    return path
+    return castore.write_entry(
+        history_path(store_dir, address),
+        castore.seal_entry(entry),
+        _ENTRY_MAGIC,
+        newline=False,
+    )
 
 
 def load_history_entry(
@@ -344,19 +293,14 @@ def load_history_entry(
     hit = _entry_to_history(path, entry)
     if hit is None:
         return None
-    # Best-effort access bump so LRU eviction favours stale entries.
-    try:
-        os.utime(path, None)
-    except OSError:
-        pass
+    castore.touch(path)
     return hit
 
 
 def list_history(store_dir: Path) -> List[HistoryEntry]:
     """Every valid entry in the store, newest first; junk is skipped."""
-    store_dir = Path(store_dir)
     entries: List[HistoryEntry] = []
-    for path in sorted(store_dir.glob("sweep_*.json")):
+    for path in castore.entry_paths(store_dir, "sweep_*.json"):
         entry = _read_entry(path)
         if entry is None:
             continue
@@ -398,40 +342,10 @@ def find_history_entry(store_dir: Path, ref: str) -> HistoryEntry:
 
 
 def gc_history_store(store_dir: Path, max_bytes: int, keep: Iterable[Path] = ()) -> int:
-    """Evict least-recently-used entries until the store fits.
-
-    Ranking is ``(mtime, filename)`` so coarse-mtime filesystems that
-    collapse timestamps into ties still evict deterministically, and the
-    newest entry (greatest rank) is never removed. Paths in ``keep`` are
-    pinned. Returns the number of entries removed.
-    """
-    if max_bytes < 0:
-        raise ConfigurationError(f"max_bytes must be >= 0, got {max_bytes}")
-    store_dir = Path(store_dir)
-    ranked: List[Tuple[float, str, int, Path]] = []
-    total = 0
-    for path in store_dir.glob("sweep_*.json"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        ranked.append((stat.st_mtime, path.name, stat.st_size, path))
-        total += stat.st_size
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    pinned = {Path(p) for p in keep}
-    removed = 0
-    for _mtime, _name, size, path in ranked[:-1]:
-        if total <= max_bytes:
-            break
-        if path in pinned:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        removed += 1
-    return removed
+    """Evict least-recently-used sweep entries until the store fits
+    ``max_bytes`` (:func:`repro.common.castore.gc` has the rules).
+    Returns the number of entries removed."""
+    return castore.gc(store_dir, "sweep_*.json", max_bytes, keep)
 
 
 # ----------------------------------------------------------------------

@@ -46,24 +46,22 @@ that. So the provider runs in one of two modes:
   design than the legacy per-trial universes, so it is opt-in
   (``run_sweep(overlay_reuse="grid")`` / ``--overlay-reuse grid``).
 
-Store files are hardened the way the per-trial result cache is:
-truncated writes, wrong-shape JSON, integrity-hash mismatches and
-seed/config mismatches are all treated as a miss and rebuilt — never a
-crash, never a silently wrong overlay.
+Entry files are framed, read, written and evicted by
+:mod:`repro.common.castore` (``RSNAPZ1`` magic, sealed); on top of its
+miss-never-crash read this module treats a seed/config/key mismatch or
+an undecodable snapshot as a miss too — never a silently wrong overlay.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
-import os
 import threading
-import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
+from repro.common import castore
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngRegistry, child_seed
 from repro.dissemination.snapshot import OverlaySnapshot
@@ -100,10 +98,6 @@ OVERLAY_REUSE_MODES = ("trial", "grid")
 # without it are parsed as the historical plain-JSON format, so stores
 # written before compression landed keep loading untouched.
 _ENTRY_MAGIC = b"RSNAPZ1\n"
-
-# Entries smaller than this are stored as plain JSON: compressing a
-# couple of kilobytes saves nothing worth the opacity.
-_ENTRY_DEFLATE_MIN_BYTES = 4096
 
 #: Populations at (or above) this size store their snapshot as a
 #: base64 ``.npz`` payload (:mod:`repro.arraysim.codec`) instead of the
@@ -280,15 +274,8 @@ def snapshot_from_dict(payload: Mapping[str, Any]) -> OverlaySnapshot:
 
 
 # ----------------------------------------------------------------------
-# hardened on-disk entries
+# on-disk entries
 # ----------------------------------------------------------------------
-
-
-def _entry_integrity(entry: Mapping[str, Any]) -> str:
-    body = {key: value for key, value in entry.items() if key != "sha256"}
-    return hashlib.sha256(
-        canonical_json(body).encode("utf-8")
-    ).hexdigest()
 
 
 def _entry_payload(
@@ -313,23 +300,20 @@ def _entry_payload(
         ).decode("ascii")
     else:
         entry["snapshot"] = snapshot_to_dict(snapshot)
-    entry["sha256"] = _entry_integrity(entry)
-    return entry
+    return castore.seal_entry(entry)
 
 
 def _identity_matches(
-    entry: Any,
+    entry: Mapping[str, Any],
     spec: TrialSpec,
     config: ExperimentConfig,
     overlay_seed: int,
 ) -> bool:
-    """Cheap validation: shape, format, identity and integrity hash.
+    """Cheap validation: format and identity.
 
-    Sufficient to *forward* an entry (the consumer re-validates and
-    decodes); :func:`_decode_entry` adds the full snapshot decode.
+    On an intact entry, sufficient to *forward* it (the consumer
+    re-validates and decodes); :func:`_decode_entry` adds the decode.
     """
-    if not isinstance(entry, Mapping):
-        return False
     if entry.get("format") != SNAPSHOT_FORMAT:
         return False
     if entry.get("overlay_seed") != overlay_seed:
@@ -338,8 +322,6 @@ def _identity_matches(
         return False
     if entry.get("config") != overlay_config_digest(config):
         return False
-    if entry.get("sha256") != _entry_integrity(entry):
-        return False  # truncated/bit-rotted write that still parsed
     return True
 
 
@@ -349,11 +331,11 @@ def _decode_entry(
     config: ExperimentConfig,
     overlay_seed: int,
 ) -> Optional[Tuple[OverlaySnapshot, Dict[str, float]]]:
-    """Validate + decode one entry mapping; ``None`` on any mismatch.
+    """Validate + decode one intact entry; ``None`` on any mismatch.
 
-    Mirrors ``load_cached_trial``'s hardening: wrong shape, format
-    drift, identity mismatch, integrity-hash mismatch, undecodable
-    snapshot and non-finite extras are all misses, never crashes.
+    Wrong shape, format drift, identity mismatch, undecodable snapshot
+    and non-finite extras are all misses, never crashes. The caller
+    checks the seal (``castore.read_entry`` / ``entry_is_intact``).
     """
     if not _identity_matches(entry, spec, config, overlay_seed):
         return None
@@ -388,35 +370,6 @@ def _decode_entry(
     return snapshot, extras
 
 
-def _parse_entry_bytes(blob: bytes) -> Any:
-    """JSON entry from file bytes, inflating the tagged format.
-
-    Raises ``ValueError`` (or ``zlib.error``) on anything malformed;
-    callers treat both as a miss.
-    """
-    if blob.startswith(_ENTRY_MAGIC):
-        blob = zlib.decompress(blob[len(_ENTRY_MAGIC):])
-    return json.loads(blob.decode("utf-8"))
-
-
-def _encode_entry_bytes(entry: Mapping[str, Any]) -> bytes:
-    raw = (canonical_json(dict(entry)) + "\n").encode("utf-8")
-    if len(raw) >= _ENTRY_DEFLATE_MIN_BYTES:
-        packed = _ENTRY_MAGIC + zlib.compress(raw, 6)
-        if len(packed) < len(raw):
-            return packed
-    return raw
-
-
-def _touch(path: Path) -> None:
-    """Best-effort mtime bump: reads mark entries recently-used so the
-    size-cap GC evicts oldest-*accessed* files, not oldest-written."""
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-
-
 def load_snapshot_entry(
     store_dir: Union[str, Path],
     spec: TrialSpec,
@@ -426,32 +379,13 @@ def load_snapshot_entry(
     """Load one stored overlay variant, or ``None`` (a miss)."""
     address = snapshot_address(spec, config, overlay_seed)
     path = snapshot_path(store_dir, address)
-    try:
-        entry = _parse_entry_bytes(path.read_bytes())
-    except (OSError, ValueError, zlib.error):
+    entry = castore.read_entry(path, _ENTRY_MAGIC)
+    if entry is None:
         return None
     decoded = _decode_entry(entry, spec, config, overlay_seed)
     if decoded is not None:
-        _touch(path)
+        castore.touch(path)
     return decoded
-
-
-def _write_entry(
-    store_dir: Union[str, Path], address: str, entry: Mapping[str, Any]
-) -> Path:
-    """Atomically persist one already-serialized entry."""
-    path = snapshot_path(store_dir, address)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Writer-unique temp name: concurrent writers of the same address
-    # (e.g. two server handler threads absorbing sibling results) must
-    # never interleave into one temp file; last rename wins, and both
-    # rename identical bytes anyway.
-    tmp = path.with_suffix(
-        f".tmp{os.getpid():x}-{threading.get_ident() & 0xFFFFFF:x}"
-    )
-    tmp.write_bytes(_encode_entry_bytes(entry))
-    tmp.replace(path)
-    return path
 
 
 def gc_snapshot_store(
@@ -459,51 +393,10 @@ def gc_snapshot_store(
     max_bytes: int,
     keep: Iterable[Union[str, Path]] = (),
 ) -> int:
-    """Evict least-recently-used entries until the store fits the cap.
-
-    Entries are ranked by ``(mtime, filename)`` — reads bump mtime, so
-    this is least-recently-*accessed*, and the filename tie-break keeps
-    eviction deterministic on coarse-mtime or ``noatime``-style
-    filesystems where a whole burst of writes can land on one
-    timestamp. The top-ranked entry always survives, even when it alone
-    exceeds the cap — evicting what was just written would turn the
-    store into a no-op — and paths listed in ``keep`` are pinned
-    outright (the provider pins the entry it just wrote, whose
-    timestamp ties with its siblings on such filesystems). Returns the
-    number of files removed. Everything is best-effort: a concurrently
-    vanished or unstatable file is simply skipped.
-    """
-    try:
-        paths = list(Path(store_dir).glob("overlay_*.json"))
-    except OSError:
-        return 0
-    ranked = []
-    total = 0
-    for path in paths:
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        ranked.append((stat.st_mtime, path.name, stat.st_size, path))
-        total += stat.st_size
-    # Sort key deliberately excludes size and any other stat noise:
-    # ties in mtime must resolve by entry name alone so every host
-    # evicts the same files in the same order.
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    pinned = {Path(p) for p in keep}
-    removed = 0
-    for _mtime, _name, size, path in ranked[:-1]:  # newest always survives
-        if total <= max_bytes:
-            break
-        if path in pinned:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        removed += 1
-    return removed
+    """Evict least-recently-used overlay entries until the store fits
+    ``max_bytes`` (:func:`repro.common.castore.gc` has the rules).
+    Returns the number of files removed."""
+    return castore.gc(store_dir, "overlay_*.json", max_bytes, keep)
 
 
 def store_snapshot_entry(
@@ -517,7 +410,9 @@ def store_snapshot_entry(
     """Persist one built overlay atomically (write-then-rename)."""
     address = snapshot_address(spec, config, overlay_seed)
     entry = _entry_payload(spec, config, overlay_seed, snapshot, extras)
-    return _write_entry(store_dir, address, entry)
+    return castore.write_entry(
+        snapshot_path(store_dir, address), entry, _ENTRY_MAGIC
+    )
 
 
 # ----------------------------------------------------------------------
@@ -660,8 +555,7 @@ class SnapshotProvider:
             # dispatch memo.
             entry = _entry_payload(spec, config, seed, snapshot, extras)
             if self.store_dir is not None:
-                written = _write_entry(self.store_dir, address, entry)
-                self._collect_store(keep=(written,))
+                self._persist(address, entry)
             if self.collect_built:
                 self._built_entries.append(entry)
             self._remember_entry(address, entry)
@@ -703,6 +597,8 @@ class SnapshotProvider:
         match this trial's overlay; the trial then just rebuilds.
         """
         seed = self.overlay_seed(spec, root_seed)
+        if not castore.entry_is_intact(entry):
+            return False
         decoded = _decode_entry(entry, spec, config, seed)
         if decoded is None:
             return False
@@ -712,16 +608,21 @@ class SnapshotProvider:
         if self.store_dir is not None and not snapshot_path(
             self.store_dir, address
         ).exists():
-            written = _write_entry(self.store_dir, address, dict(entry))
-            self._collect_store(keep=(written,))
+            self._persist(address, entry)
         return True
 
-    def _collect_store(self, keep: Iterable[Path] = ()) -> None:
+    def _persist(self, address: str, entry: Mapping[str, Any]) -> None:
+        """Write one already-serialized entry, then enforce the cap."""
+        written = castore.write_entry(
+            snapshot_path(self.store_dir, address), entry, _ENTRY_MAGIC
+        )
         # The just-written entry is pinned explicitly: on coarse-mtime
         # filesystems its timestamp can tie with older entries, and GC
         # must never evict what the current trial is about to use.
-        if self.store_dir is not None and self.max_store_bytes is not None:
-            gc_snapshot_store(self.store_dir, self.max_store_bytes, keep=keep)
+        if self.max_store_bytes is not None:
+            gc_snapshot_store(
+                self.store_dir, self.max_store_bytes, keep=(written,)
+            )
 
     def entry_for(
         self, spec: TrialSpec, config: ExperimentConfig, root_seed: int
@@ -745,13 +646,10 @@ class SnapshotProvider:
         # decoding a whole overlay just to re-encode and re-hash it
         # per dispatch (the receiving worker fully validates anyway).
         path = snapshot_path(self.store_dir, address)
-        try:
-            raw = _parse_entry_bytes(path.read_bytes())
-        except (OSError, ValueError, zlib.error):
+        raw = castore.read_entry(path, _ENTRY_MAGIC)
+        if raw is None or not _identity_matches(raw, spec, config, seed):
             return None
-        if not _identity_matches(raw, spec, config, seed):
-            return None
-        _touch(path)
+        castore.touch(path)
         self._remember_entry(address, raw)
         return raw
 

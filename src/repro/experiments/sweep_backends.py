@@ -70,6 +70,7 @@ from typing import (
     Union,
 )
 
+from repro.common.castore import bounded_inflate
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario_matrix import (
@@ -310,21 +311,10 @@ class FrameDecoder:
         """Decompress a deflated frame body, bounded against zip bombs:
         anything expanding past the frame limit (or not a complete
         zlib stream) is a protocol violation, not an allocation."""
-        inflater = zlib.decompressobj()
         try:
-            out = inflater.decompress(body, MAX_FRAME_BYTES + 1)
-        except zlib.error as exc:
+            return bounded_inflate(body, MAX_FRAME_BYTES)
+        except ValueError as exc:
             raise ProtocolError(f"undecodable deflated frame: {exc}")
-        if (
-            len(out) > MAX_FRAME_BYTES
-            or not inflater.eof
-            or inflater.unused_data
-        ):
-            raise ProtocolError(
-                "deflated frame is truncated, has trailing bytes, or "
-                f"expands past the {MAX_FRAME_BYTES}-byte limit"
-            )
-        return out
 
 
 def decode_frames(data: bytes) -> List[Dict[str, Any]]:

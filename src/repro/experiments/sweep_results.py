@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.common.castore import canonical_json, read_entry, write_entry
 from repro.common.errors import ConfigurationError
 from repro.metrics.aggregate import mean
 
@@ -73,13 +74,6 @@ _T95 = {
     26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
 }
 _Z95 = 1.959963984540054
-
-
-def canonical_json(payload: object) -> str:
-    """Serialise ``payload`` deterministically (sorted keys, fixed style)."""
-    return json.dumps(
-        payload, sort_keys=True, indent=2, separators=(",", ": ")
-    )
 
 
 # The four historical scenario knobs, always present on every spec
@@ -732,12 +726,9 @@ def load_cached_trial(
     treated as misses, never as errors — the trial is simply re-run.
     """
     path = trial_cache_path(cache_dir, spec, root_seed, config_digest)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+    payload = read_entry(path, sealed=False)
+    if payload is None:
         return None
-    if not isinstance(payload, dict):
-        return None  # e.g. a truncated write that still parses
     if payload.get("format") != CACHE_FORMAT:
         return None
     if payload.get("root_seed") != root_seed:
@@ -770,20 +761,16 @@ def store_trial(
     config_digest: str = "",
 ) -> Path:
     """Persist one finished trial for future resume."""
-    path = trial_cache_path(
-        cache_dir, result.spec, root_seed, config_digest
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": CACHE_FORMAT,
         "root_seed": root_seed,
         "config": config_digest,
         "result": result.to_dict(),
     }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(canonical_json(payload) + "\n", encoding="utf-8")
-    tmp.replace(path)
-    return path
+    return write_entry(
+        trial_cache_path(cache_dir, result.spec, root_seed, config_digest),
+        payload,
+    )
 
 
 def effectiveness_stats_of(cell: CellSummary):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.api
 from repro.api import run_adaptive_sweep, run_sweep, run_sweep_diff
+from repro.common import castore
 from repro.common.errors import ConfigurationError
 from repro.experiments.adaptive import (
     AdaptiveSettings,
@@ -45,6 +46,9 @@ from repro.experiments.sweep import SweepGrid, TrialListGrid
 from repro.experiments.sweep import run_sweep as run_sweep_core
 from repro.experiments.sweep_results import TrialSpec, config_fingerprint
 from repro.experiments.sweep_spec import SweepSpec
+from tests.store_defects import FILE_DEFECTS
+
+HISTORY_MAGIC = b"RHISTZ1\n"  # pinned: the on-disk format, not an import
 
 BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
@@ -190,9 +194,26 @@ class TestHistoryStore:
         removed = gc_history_store(tmp_path, 0)
         assert removed == 2
         assert [e.path for e in list_history(tmp_path)] == [paths[-1]]
+        with pytest.raises(ConfigurationError):
+            gc_history_store(tmp_path, -1)
 
 
 class TestHistoryHardening:
+    @pytest.mark.parametrize("defect", sorted(FILE_DEFECTS))
+    def test_each_defect_class_is_a_miss(self, tmp_path, result, defect):
+        """The shared layer's defect classes (fuzzed in test_castore),
+        once each through this store's two public loaders."""
+        path = store_small(tmp_path, result)
+        corrupt = FILE_DEFECTS[defect]
+        path.write_bytes(corrupt(path.read_bytes(), HISTORY_MAGIC))
+        assert (
+            load_history_entry(
+                tmp_path, SMALL_SPEC, 5, config_fingerprint(BASE), history_mode()
+            )
+            is None
+        )
+        assert list_history(tmp_path) == []
+
     def test_truncation_is_a_miss(self, tmp_path, result):
         path = store_small(tmp_path, result)
         raw = path.read_bytes()
@@ -240,21 +261,35 @@ class TestHistoryHardening:
             assert entry.result.to_json() == result.to_json()
 
     def test_tampered_result_payload_is_a_miss(self, tmp_path, result):
-        from repro.experiments.history import (
-            _encode_entry_bytes,
-            _parse_entry_bytes,
-        )
-
+        """Edits that keep the file well-formed *and* correctly sealed
+        get past the shared layer; this store's own validation of the
+        payload must still refuse them."""
         path = store_small(tmp_path, result)
-        entry = _parse_entry_bytes(path.read_bytes())
-        entry["result"]["root_seed"] = 99
-        path.write_bytes(_encode_entry_bytes(entry))
-        assert (
-            load_history_entry(
-                tmp_path, SMALL_SPEC, 5, config_fingerprint(BASE), history_mode()
+        pristine = path.read_bytes()
+        for tamper in (
+            lambda entry: entry["result"].update(root_seed=99),
+            lambda entry: entry["result"]["trials"][0].update(
+                mean_hops=float("nan")
+            ),
+            lambda entry: entry.update(created="yesterday"),
+        ):
+            path.write_bytes(pristine)
+            entry = castore.read_entry(path, HISTORY_MAGIC)
+            tamper(entry)
+            castore.write_entry(
+                path, castore.seal_entry(entry), HISTORY_MAGIC, newline=False
             )
-            is None
-        )
+            assert castore.read_entry(path, HISTORY_MAGIC) is not None
+            assert (
+                load_history_entry(
+                    tmp_path,
+                    SMALL_SPEC,
+                    5,
+                    config_fingerprint(BASE),
+                    history_mode(),
+                )
+                is None
+            )
 
     def test_compressed_garbage_is_a_miss(self, tmp_path, result):
         path = store_small(tmp_path, result)

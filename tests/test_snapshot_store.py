@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import castore
 from repro.common.rng import RngRegistry, child_seed
 from repro.dissemination.executor import disseminate
 from repro.dissemination.policies import policy_for_snapshot
@@ -56,8 +57,10 @@ from repro.experiments.sweep_backends import InlineBackend
 from repro.experiments.sweep_results import TrialSpec
 from repro.common.errors import ConfigurationError
 from tests.conftest import build_snapshot
+from tests.store_defects import FILE_DEFECTS
 
 DATA = Path(__file__).parent / "data"
+SNAPSHOT_MAGIC = b"RSNAPZ1\n"  # pinned: the on-disk format, not an import
 
 # Exactly the grid + config the pre-redesign goldens were recorded
 # with (all five seed scenarios, both protocols, a kill axis).
@@ -282,6 +285,17 @@ class TestStoreHardening:
         path.write_bytes(blob[: len(blob) // 2])
         assert load_snapshot_entry(tmp_path, spec, config, seed) is None
 
+    @pytest.mark.parametrize("defect", sorted(FILE_DEFECTS))
+    def test_each_defect_class_is_a_miss(self, tmp_path, defect):
+        """The shared layer's defect classes (fuzzed in test_castore),
+        once each through this store's public loader."""
+        spec, config, seed, _snapshot, path = self._stored(tmp_path)
+        corrupt = FILE_DEFECTS[defect]
+        path.write_bytes(corrupt(path.read_bytes(), SNAPSHOT_MAGIC))
+        assert load_snapshot_entry(tmp_path, spec, config, seed) is None
+        provider = SnapshotProvider(store_dir=tmp_path)
+        assert provider.entry_for(spec, config, 11) is None
+
     def test_wrong_shape_is_a_miss(self, tmp_path):
         spec, config, seed, _snapshot, path = self._stored(tmp_path)
         for garbage in ("[]", '"overlay"', "{}", '{"format": 1}'):
@@ -295,11 +309,19 @@ class TestStoreHardening:
         be served as an overlay — that would be a silently wrong
         experiment, the worst possible cache failure."""
         spec, config, seed, _snapshot, path = self._stored(tmp_path)
-        from repro.experiments.snapshot_store import _parse_entry_bytes
-
-        entry = _parse_entry_bytes(path.read_bytes())
+        entry = castore.read_entry(path, SNAPSHOT_MAGIC)
         entry["snapshot"]["frozen_at_cycle"] += 1  # sha now stale
         path.write_text(json.dumps(entry))
+        assert load_snapshot_entry(tmp_path, spec, config, seed) is None
+
+    def test_non_finite_extras_are_a_miss(self, tmp_path):
+        """A correctly sealed entry whose build extras carry NaN is this
+        store's own sanity check, not the shared layer's."""
+        spec, config, seed, _snapshot, path = self._stored(tmp_path)
+        entry = castore.read_entry(path, SNAPSHOT_MAGIC)
+        entry["extras"]["churn_cycles"] = float("nan")
+        castore.write_entry(path, castore.seal_entry(entry), SNAPSHOT_MAGIC)
+        assert castore.read_entry(path, SNAPSHOT_MAGIC) is not None
         assert load_snapshot_entry(tmp_path, spec, config, seed) is None
 
     def test_wrong_seed_or_config_is_a_miss(self, tmp_path):
@@ -925,42 +947,38 @@ class TestEntryFormats:
         return spec, config, seed, snapshot, extras
 
     def test_new_entries_are_compressed(self, tmp_path):
-        from repro.experiments.snapshot_store import _ENTRY_MAGIC
-
         spec, config, seed, snapshot, extras = self._built()
         path = store_snapshot_entry(
             tmp_path, spec, config, seed, snapshot, extras
         )
-        assert path.read_bytes().startswith(_ENTRY_MAGIC)
+        assert path.read_bytes().startswith(SNAPSHOT_MAGIC)
         loaded = load_snapshot_entry(tmp_path, spec, config, seed)
         assert loaded is not None and loaded[0] == snapshot
 
     def test_legacy_plain_json_entries_still_load(self, tmp_path):
         """Stores written before compression landed are plain JSON;
         they must keep loading as hits, untouched."""
-        from repro.experiments.snapshot_store import (
-            _entry_payload,
-            snapshot_path as entry_path,
-        )
-        from repro.experiments.sweep_results import canonical_json
-
         spec, config, seed, snapshot, extras = self._built()
-        entry = _entry_payload(spec, config, seed, snapshot, extras)
-        path = entry_path(
-            tmp_path, snapshot_address(spec, config, seed)
+        path = store_snapshot_entry(
+            tmp_path, spec, config, seed, snapshot, extras
         )
-        path.write_text(canonical_json(entry) + "\n", encoding="utf-8")
+        entry = castore.read_entry(path, SNAPSHOT_MAGIC)
+        path.write_text(
+            castore.canonical_json(entry) + "\n", encoding="utf-8"
+        )
         loaded = load_snapshot_entry(tmp_path, spec, config, seed)
         assert loaded is not None and loaded[0] == snapshot
 
-    def test_large_overlays_use_npz_payloads(self):
-        from repro.experiments.snapshot_store import (
-            NPZ_ENTRY_MIN_NODES,
-            _entry_payload,
-        )
+    def test_large_overlays_use_npz_payloads(self, tmp_path):
+        from repro.experiments.snapshot_store import NPZ_ENTRY_MIN_NODES
 
         spec, config, seed, snapshot, extras = self._built()
-        small = _entry_payload(spec, config, seed, snapshot, extras)
+        small = castore.read_entry(
+            store_snapshot_entry(
+                tmp_path, spec, config, seed, snapshot, extras
+            ),
+            SNAPSHOT_MAGIC,
+        )
         assert "snapshot" in small and "snapshot_npz" not in small
 
         rng = random.Random(3)
@@ -979,26 +997,32 @@ class TestEntryFormats:
         big_config = trial_config(
             big_spec, GOLDEN_BASE.with_overrides(num_nodes=n), 11
         )
-        entry = _entry_payload(big_spec, big_config, seed, big, {})
+        entry = castore.read_entry(
+            store_snapshot_entry(
+                tmp_path, big_spec, big_config, seed, big, {}
+            ),
+            SNAPSHOT_MAGIC,
+        )
         assert "snapshot_npz" in entry and "snapshot" not in entry
-        from repro.experiments.snapshot_store import _decode_entry
-
-        decoded = _decode_entry(entry, big_spec, big_config, seed)
+        decoded = load_snapshot_entry(tmp_path, big_spec, big_config, seed)
         assert decoded is not None
         assert decoded[0].rlinks == big.rlinks
         assert decoded[0].alive_ids == big.alive_ids
 
 
 class TestStoreSizeCap:
+    """The eviction rules themselves are tested once in
+    ``tests/test_castore.py``; here: this store's GC collects *its*
+    files, a read hit through the public loader refreshes the rank, and
+    the provider pins what it just wrote."""
+
     def _fill(self, tmp_path, count):
-        from repro.experiments.snapshot_store import _write_entry
+        import os
 
         paths = []
         for index in range(count):
-            entry = {"format": 1, "blob": "x" * 50_000, "n": index}
-            path = _write_entry(tmp_path, f"{index:04d}", entry)
-            import os
-
+            path = snapshot_path(tmp_path, f"{index:04d}")
+            path.write_bytes(b"x" * 50_000)
             os.utime(path, (1_000_000 + index, 1_000_000 + index))
             paths.append(path)
         return paths
@@ -1007,64 +1031,41 @@ class TestStoreSizeCap:
         from repro.experiments.snapshot_store import gc_snapshot_store
 
         paths = self._fill(tmp_path, 4)
+        bystander = tmp_path / "trial_0000.json"  # not this store's file
+        bystander.write_bytes(b"x" * 500_000)
         per_entry = paths[0].stat().st_size
         removed = gc_snapshot_store(tmp_path, per_entry * 2)
         assert removed == 2
         assert [p.exists() for p in paths] == [False, False, True, True]
-
-    def test_gc_never_evicts_the_newest_entry(self, tmp_path):
-        from repro.experiments.snapshot_store import gc_snapshot_store
-
-        paths = self._fill(tmp_path, 3)
-        gc_snapshot_store(tmp_path, 1)
-        assert [p.exists() for p in paths] == [False, False, True]
+        assert bystander.exists()
+        with pytest.raises(ConfigurationError):
+            gc_snapshot_store(tmp_path, -1)
 
     def test_read_hit_refreshes_eviction_rank(self, tmp_path):
-        from repro.experiments.snapshot_store import gc_snapshot_store
-
-        paths = self._fill(tmp_path, 3)
-        import os
-
-        os.utime(paths[0], None)  # "read" the oldest entry now
-        per_entry = paths[0].stat().st_size
-        gc_snapshot_store(tmp_path, per_entry * 1)
-        surviving = {p.name for p in paths if p.exists()}
-        assert paths[0].name in surviving
-        assert paths[1].name not in surviving
-
-    def test_gc_breaks_mtime_ties_deterministically(self, tmp_path):
-        """Coarse-mtime filesystems collapse timestamps: the rank must
-        fall back to the entry filename so eviction stays deterministic
-        and the lexicographically-greatest entry plays 'newest'."""
         import os
 
         from repro.experiments.snapshot_store import gc_snapshot_store
 
-        paths = self._fill(tmp_path, 4)
-        for path in paths:
-            os.utime(path, (1_000_000, 1_000_000))  # all tied
-        survivors_a = None
+        config = trial_config(spec_for(num_nodes=40), GOLDEN_BASE, 11)
+        stored = []
+        for index in range(2):
+            spec = spec_for(num_nodes=40, replicate=index)
+            seed = child_seed(11, spec.key)
+            snapshot, extras = _build_static_overlay(
+                spec, config, RngRegistry(seed)
+            )
+            path = store_snapshot_entry(
+                tmp_path, spec, config, seed, snapshot, extras
+            )
+            os.utime(path, (1_000_000 + index, 1_000_000 + index))
+            stored.append((spec, seed, path))
+        oldest_spec, oldest_seed, oldest_path = stored[0]
+        assert load_snapshot_entry(
+            tmp_path, oldest_spec, config, oldest_seed
+        )  # a hit marks the entry recently used
         gc_snapshot_store(tmp_path, 1)
-        survivors_a = sorted(p.name for p in paths if p.exists())
-        # Only the greatest filename survives — on every run.
-        assert survivors_a == [paths[-1].name]
-
-    def test_gc_with_tied_mtimes_never_evicts_fresh_write(self, tmp_path):
-        """The entry just written must survive its own collection pass
-        even when the filesystem hands every entry the same mtime."""
-        import os
-
-        from repro.experiments.snapshot_store import gc_snapshot_store
-
-        paths = self._fill(tmp_path, 3)
-        for path in paths:
-            os.utime(path, (1_000_000, 1_000_000))
-        # paths[0] sorts first by name, so without the pin it would be
-        # evicted — exactly what happened to fresh writes on coarse
-        # filesystems before the keep parameter existed.
-        gc_snapshot_store(tmp_path, 1, keep=(paths[0],))
-        assert paths[0].exists()
-        assert not paths[1].exists()
+        assert oldest_path.exists()
+        assert not stored[1][2].exists()
 
     def test_provider_pins_fresh_write_under_tied_mtimes(
         self, tmp_path, monkeypatch
@@ -1074,21 +1075,19 @@ class TestStoreSizeCap:
         it just stored when the cap forces a collection."""
         import os
 
-        from repro.experiments import snapshot_store
-
-        real_write = snapshot_store._write_entry
+        real_write = castore.write_entry
         written = []
 
-        def coarse_write(store_dir, key, entry):
-            path = real_write(store_dir, key, entry)
+        def coarse_write(path, *args, **kwargs):
+            path = real_write(path, *args, **kwargs)
             # Collapse timestamps the instant the entry exists, so the
             # collection pass that follows sees nothing but ties.
-            for sibling in Path(store_dir).glob("*.json"):
+            for sibling in path.parent.glob("*.json"):
                 os.utime(sibling, (1_000_000, 1_000_000))
             written.append(path)
             return path
 
-        monkeypatch.setattr(snapshot_store, "_write_entry", coarse_write)
+        monkeypatch.setattr(castore, "write_entry", coarse_write)
         provider = SnapshotProvider(store_dir=tmp_path, max_store_bytes=1)
         config = trial_config(spec_for(num_nodes=40), GOLDEN_BASE, 11)
         for index in range(3):

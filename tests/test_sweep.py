@@ -31,6 +31,7 @@ from repro.experiments.sweep_results import (
     summarize_cells,
     trial_cache_path,
 )
+from tests.store_defects import FILE_DEFECTS, hammer
 
 BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
@@ -576,6 +577,32 @@ class TestSweepCache:
         clean = resumed.to_json()
         assert clean == small_sweep().to_json()
         assert "NaN" not in clean
+
+    @pytest.mark.parametrize("defect", sorted(FILE_DEFECTS))
+    def test_each_defect_class_is_a_miss(self, tmp_path, defect):
+        """The shared layer's defect classes (fuzzed in test_castore),
+        once each through the trial cache's public loader."""
+        spec = SMALL_GRID.expand()[0]
+        path = store_trial(tmp_path, run_trial(spec, BASE, 5), root_seed=5)
+        path.write_bytes(FILE_DEFECTS[defect](path.read_bytes(), None))
+        assert load_cached_trial(tmp_path, spec, 5) is None
+
+    def test_concurrent_writers_of_one_trial(self, tmp_path):
+        """Two sweeps over overlapping grids sharing ``--cache DIR``
+        finish the same trial at once; with a shared temp-file name the
+        loser's rename raised FileNotFoundError."""
+        spec = SMALL_GRID.expand()[0]
+        result = run_trial(spec, BASE, 5)
+        errors = hammer(
+            lambda: store_trial(tmp_path, result, root_seed=5),
+            writers=2,
+            rounds=1500,
+        )
+        assert errors == []
+        assert load_cached_trial(tmp_path, spec, 5) == result
+        assert [p.name for p in tmp_path.iterdir()] == [
+            trial_cache_path(tmp_path, spec, 5).name
+        ]
 
     def test_cache_ignores_other_root_seed(self, tmp_path):
         spec = SMALL_GRID.expand()[0]
