@@ -21,12 +21,13 @@ from benchmarks.conftest import (
     sweep_workers,
 )
 from repro.experiments.report import render_effectiveness
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_results import effectiveness_figure
+from repro.experiments.sweep_spec import flat_spec
 
 
 def test_fig6_static_effectiveness(benchmark, cfg):
-    grid = SweepGrid(
+    grid = flat_spec(
         scenarios=("static",),
         protocols=("randcast", "ringcast"),
         num_nodes=(cfg.num_nodes,),

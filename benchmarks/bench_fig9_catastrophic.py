@@ -20,13 +20,14 @@ from benchmarks.conftest import (
     sweep_workers,
 )
 from repro.experiments.report import render_effectiveness
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_results import effectiveness_figure
+from repro.experiments.sweep_spec import flat_spec
 
 
 @pytest.mark.parametrize("fraction", [0.01, 0.02, 0.05, 0.10])
 def test_fig9_catastrophic(benchmark, cfg, fraction):
-    grid = SweepGrid(
+    grid = flat_spec(
         scenarios=("catastrophic",),
         protocols=("randcast", "ringcast"),
         num_nodes=(cfg.num_nodes,),

@@ -34,13 +34,14 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_SEED, once, record_json, sweep_workers
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep_spec import flat_spec
 
 BASE = ExperimentConfig(
     num_nodes=60, warmup_cycles=30, seed=BENCH_SEED
 )
 
-GRID = SweepGrid(
+GRID = flat_spec(
     scenarios=("static",),
     protocols=("randcast", "ringcast"),
     num_nodes=(60,),
@@ -114,7 +115,7 @@ def test_sweep_backend_scaling(benchmark):
         "BENCH_sweep",
         {
             "grid": {
-                "scenarios": list(GRID.scenarios),
+                "scenarios": [s.name for s in GRID.scenarios],
                 "protocols": list(GRID.protocols),
                 "num_nodes": list(GRID.num_nodes),
                 "fanouts": list(GRID.fanouts),
@@ -122,7 +123,7 @@ def test_sweep_backend_scaling(benchmark):
                 "num_messages": GRID.num_messages,
                 "trials": len(GRID.expand()),
             },
-            "spec_fingerprint": GRID.to_spec().fingerprint(),
+            "spec_fingerprint": GRID.fingerprint(),
             "cpu_count": os.cpu_count(),
             # Hostname-independent hardware context: committed numbers
             # from a 1-CPU container must not read as multi-core data.

@@ -39,16 +39,14 @@ from repro.api import (
 )
 from repro.dissemination.executor import DisseminationResult
 from repro.dissemination.snapshot import OverlaySnapshot
-from repro.experiments.sweep import SweepGrid
 from repro.experiments.sweep_results import SweepResult
 from repro.experiments.sweep_spec import SweepSpec
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DisseminationResult",
     "OverlaySnapshot",
-    "SweepGrid",
     "SweepResult",
     "SweepSpec",
     "__version__",

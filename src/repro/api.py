@@ -14,7 +14,6 @@ True
 from __future__ import annotations
 
 import random
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -54,12 +53,12 @@ from repro.experiments.history import (
     load_history_entry,
     store_history_entry,
 )
-from repro.experiments.sweep import SweepGrid, run_sweep as _run_sweep
+from repro.experiments.sweep import run_sweep as _run_sweep
 from repro.experiments.sweep_results import SweepResult, config_fingerprint
 from repro.experiments.sweep_spec import (
-    LEGACY_FLAT_DEFAULTS,
     ScenarioSelection,
     SweepSpec,
+    flat_spec,
     scenario,
 )
 
@@ -198,16 +197,6 @@ def run_experiment(
     )
 
 
-_GRID_KWARG_DEFAULTS = {
-    "scenarios": ("static",),
-    "protocols": ("randcast", "ringcast"),
-    "num_nodes": (150,),
-    "fanouts": (1, 2, 3, 4),
-    "replicates": 1,
-    "num_messages": 5,
-}
-
-
 def _resolve_sweep_grid(
     scenarios,
     protocols,
@@ -215,44 +204,20 @@ def _resolve_sweep_grid(
     fanouts,
     replicates,
     num_messages,
-    kill_fractions,
-    churn_rates,
-    concurrent_messages,
-    pulls_per_round,
     scale,
     seed,
     spec,
     config_overrides,
-) -> Tuple[Union[SweepGrid, SweepSpec], ExperimentConfig]:
+) -> Tuple[SweepSpec, ExperimentConfig]:
     """Shared grid + base-config resolution for the sweep facades.
 
-    Implements the three grid-description forms documented on
-    :func:`run_sweep` (spec, scenario selections, legacy flat kwargs)
-    and returns ``(grid, base_config)`` — the base config already
-    carries the effective seed and every override applied.
+    Implements the grid-description forms documented on
+    :func:`run_sweep` (spec, scenario selections, plain names) and
+    returns ``(spec, base_config)`` — the base config already carries
+    the effective seed and every override applied.
     """
-    legacy_passed = {
+    grid = {
         name: value
-        for name, value in (
-            ("kill_fractions", kill_fractions),
-            ("churn_rates", churn_rates),
-            ("concurrent_messages", concurrent_messages),
-            ("pulls_per_round", pulls_per_round),
-        )
-        if value is not None
-    }
-    if legacy_passed:
-        warnings.warn(
-            f"run_sweep's flat kwargs {sorted(legacy_passed)} are "
-            "deprecated; pass per-scenario parameters via "
-            "scenario(...) selections or a SweepSpec (see the "
-            "run_sweep docstring's migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    grid_passed = sorted(
-        name
         for name, value in (
             ("scenarios", scenarios),
             ("protocols", protocols),
@@ -262,37 +227,18 @@ def _resolve_sweep_grid(
             ("num_messages", num_messages),
         )
         if value is not None
-    )
-    if scenarios is None:
-        scenarios = _GRID_KWARG_DEFAULTS["scenarios"]
-    if protocols is None:
-        protocols = _GRID_KWARG_DEFAULTS["protocols"]
-    if num_nodes is None:
-        num_nodes = _GRID_KWARG_DEFAULTS["num_nodes"]
-    if fanouts is None:
-        fanouts = _GRID_KWARG_DEFAULTS["fanouts"]
-    if replicates is None:
-        replicates = _GRID_KWARG_DEFAULTS["replicates"]
-    if num_messages is None:
-        num_messages = _GRID_KWARG_DEFAULTS["num_messages"]
-
+    }
     if spec is not None:
-        if legacy_passed:
-            raise ConfigurationError(
-                "spec= cannot be combined with the legacy flat kwargs "
-                f"{sorted(legacy_passed)}"
-            )
-        if grid_passed:
+        if grid:
             # Silently running the spec's grid while the caller
             # believes e.g. replicates=5 applied would misdescribe
             # their statistics; the CLI rejects the same combination.
             raise ConfigurationError(
-                f"spec= already defines the grid; drop {grid_passed} "
+                f"spec= already defines the grid; drop {sorted(grid)} "
                 "(edit the spec instead)"
             )
         if not isinstance(spec, SweepSpec):
             spec = SweepSpec.load(spec)
-        grid: Union[SweepGrid, SweepSpec] = spec
         base = scale_config(
             scale if scale is not None else spec.scale,
             seed=seed if seed is not None else spec.seed,
@@ -301,52 +247,21 @@ def _resolve_sweep_grid(
         merged.update(config_overrides)
         if merged:
             base = base.with_overrides(**merged)
-        return grid, base
+        return spec, base
 
     base = scale_config(scale, seed=seed)
     if config_overrides:
         base = base.with_overrides(**config_overrides)
-    selections = tuple(
-        entry
-        for entry in scenarios
-        if isinstance(entry, ScenarioSelection)
-    )
-    if selections:
-        if legacy_passed:
-            raise ConfigurationError(
-                "scenario(...) selections cannot be combined with "
-                "the legacy flat kwargs "
-                f"{sorted(legacy_passed)}; attach parameters to "
-                "the selections instead"
-            )
-        grid = SweepSpec(
-            scenarios=tuple(scenarios),
-            protocols=tuple(protocols),
-            num_nodes=tuple(num_nodes),
-            fanouts=tuple(fanouts),
-            replicates=replicates,
-            num_messages=num_messages,
-        )
-    else:
-        # All-name scenarios with no selections: the historical
-        # flat-grid semantics, bit-for-bit (same trial keys, same
-        # RNG universes, same JSON) whether or not the deprecated
-        # kwargs are spelled out.
-        values = dict(LEGACY_FLAT_DEFAULTS)
-        values.update(legacy_passed)
-        grid = SweepGrid(
-            scenarios=tuple(scenarios),
-            protocols=tuple(protocols),
-            num_nodes=tuple(num_nodes),
-            fanouts=tuple(fanouts),
-            replicates=replicates,
-            num_messages=num_messages,
-            kill_fractions=tuple(values["kill_fractions"]),
-            churn_rates=tuple(values["churn_rates"]),
-            concurrent_messages=values["concurrent_messages"],
-            pulls_per_round=values["pulls_per_round"],
-        )
-    return grid, base
+    if any(
+        isinstance(entry, ScenarioSelection)
+        for entry in grid.get("scenarios", ())
+    ):
+        return SweepSpec(**grid), base
+    # All-name scenarios: the historical flat-grid semantics, bit for
+    # bit (same trial keys, same RNG universes, same JSON). Nothing of
+    # seed/scale/overrides is baked into the spec — the history
+    # address hashes its fingerprint.
+    return flat_spec(**grid), base
 
 
 def run_sweep(
@@ -356,10 +271,6 @@ def run_sweep(
     fanouts: Optional[Tuple[int, ...]] = None,
     replicates: Optional[int] = None,
     num_messages: Optional[int] = None,
-    kill_fractions: Optional[Tuple[float, ...]] = None,
-    churn_rates: Optional[Tuple[float, ...]] = None,
-    concurrent_messages: Optional[int] = None,
-    pulls_per_round: Optional[int] = None,
     scale: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
@@ -385,7 +296,7 @@ def run_sweep(
     count. ``cache_dir`` enables resume: completed trials are persisted
     and skipped on re-runs.
 
-    **Three ways to describe the grid**, most preferred first:
+    **Three ways to describe the grid**:
 
     1. ``spec=`` — a :class:`~repro.experiments.sweep_spec.SweepSpec`
        (or a path to a spec JSON file). The spec may embed ``scale``,
@@ -401,23 +312,11 @@ def run_sweep(
 
        Each scenario carries exactly its own (schema-validated)
        parameters; any sweepable parameter may be an axis.
-    3. Legacy flat kwargs (**deprecated**) — ``kill_fractions=``,
-       ``churn_rates=``, ``concurrent_messages=``,
-       ``pulls_per_round=``. These keep the historical semantics (and
-       byte-identical output), but emit a :class:`DeprecationWarning`
-       when passed explicitly.
-
-    Migration from the flat kwargs:
-
-    ==============================  ======================================
-    legacy kwarg                    new form
-    ==============================  ======================================
-    ``kill_fractions=(a, b)``       ``scenario("catastrophic", kill_fraction=[a, b])``
-    ``churn_rates=(a, b)``          ``scenario("churn", churn_rate=[a, b])``
-    ``concurrent_messages=n``       ``scenario("multi_message", concurrent_messages=n)``
-    ``pulls_per_round=n``           ``scenario("pull_churn", pulls_per_round=n)``
-    (whole call)                    ``spec=SweepSpec(...)`` / ``--spec file.json``
-    ==============================  ======================================
+    3. Plain scenario names — ``scenarios=("static", "catastrophic")``
+       keeps the historical flat-grid semantics of
+       :func:`~repro.experiments.sweep_spec.flat_spec` at its defaults
+       (byte-identical to every earlier release). To set a scenario
+       parameter, use form 1 or 2.
 
     ``backend`` picks the execution backend (``"inline"``,
     ``"process"``, or ``"socket"`` — a TCP work queue that spreads
@@ -479,10 +378,6 @@ def run_sweep(
         fanouts,
         replicates,
         num_messages,
-        kill_fractions,
-        churn_rates,
-        concurrent_messages,
-        pulls_per_round,
         scale,
         seed,
         spec,
@@ -503,14 +398,13 @@ def run_sweep(
     )
     if history is None:
         return _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
-    history_spec = grid if isinstance(grid, SweepSpec) else grid.to_spec()
     digest = config_fingerprint(base)
     mode = history_mode(overlay_reuse=overlay_reuse, core=core)
-    hit = load_history_entry(history, history_spec, base.seed, digest, mode)
+    hit = load_history_entry(history, grid, base.seed, digest, mode)
     if hit is not None:
         return hit.result
     result = _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
-    store_history_entry(history, history_spec, result, base.seed, digest, mode)
+    store_history_entry(history, grid, result, base.seed, digest, mode)
     return result
 
 
@@ -521,10 +415,6 @@ def run_adaptive_sweep(
     fanouts: Optional[Tuple[int, ...]] = None,
     replicates: Optional[int] = None,
     num_messages: Optional[int] = None,
-    kill_fractions: Optional[Tuple[float, ...]] = None,
-    churn_rates: Optional[Tuple[float, ...]] = None,
-    concurrent_messages: Optional[int] = None,
-    pulls_per_round: Optional[int] = None,
     scale: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
@@ -571,10 +461,6 @@ def run_adaptive_sweep(
         fanouts,
         replicates,
         num_messages,
-        kill_fractions,
-        churn_rates,
-        concurrent_messages,
-        pulls_per_round,
         scale,
         seed,
         spec,
@@ -598,18 +484,16 @@ def run_adaptive_sweep(
         trial_deadline=trial_deadline,
         auth_token=auth_token,
     )
-    history_spec: Optional[SweepSpec] = None
     digest = ""
     mode: dict = {}
     if history is not None:
-        history_spec = grid if isinstance(grid, SweepSpec) else grid.to_spec()
         digest = config_fingerprint(base)
         mode = history_mode(
             overlay_reuse=overlay_reuse,
             core=core,
             adaptive=settings.to_dict(),
         )
-        hit = load_history_entry(history, history_spec, base.seed, digest, mode)
+        hit = load_history_entry(history, grid, base.seed, digest, mode)
         if hit is not None:
             rebuilt = _outcome_from_history(hit, settings)
             if rebuilt is not None:
@@ -621,10 +505,10 @@ def run_adaptive_sweep(
         root_seed=base.seed,
         **run_kwargs,
     )
-    if history is not None and history_spec is not None:
+    if history is not None:
         store_history_entry(
             history,
-            history_spec,
+            grid,
             outcome.result,
             base.seed,
             digest,

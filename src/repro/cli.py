@@ -41,11 +41,6 @@ portable, serializable description of the whole grid (see
     repro sweep --dump-spec spec.json ...same flags...   # write, don't run
     repro sweep --spec spec.json --workers 8             # run a spec file
 
-The historical flat flags (``--kill-fractions``, ``--churn-rates``,
-``--concurrent``, ``--pulls``) keep working with their exact old
-semantics and bytes, but are deprecated in favour of the per-scenario
-parameter flags and spec files.
-
 ``--backend`` picks inline (serial), process (local pool), or socket —
 a TCP work-queue server; remote hosts join a socket sweep with::
 
@@ -286,15 +281,6 @@ def _csv_floats(text: str) -> Tuple[float, ...]:
     return tuple(float(part) for part in _csv(text))
 
 
-# (legacy CLI flag, replacement) — the auto-generated per-parameter
-# flags and spec files supersede these, byte-identically.
-_DEPRECATED_SWEEP_FLAGS = {
-    "kill_fractions": ("--kill-fractions", "--kill-fraction"),
-    "churn_rates": ("--churn-rates", "--churn-rate"),
-    "concurrent": ("--concurrent", "--concurrent-messages"),
-    "pulls": ("--pulls", "--pulls-per-round"),
-}
-
 _SWEEP_GRID_DEFAULTS = {
     "scenarios": ("static",),
     "protocols": ("randcast", "ringcast"),
@@ -340,12 +326,12 @@ def _sweep_selections(args, scenarios, param_values):
 
 
 def _resolve_sweep_request(args):
-    """What this invocation describes: ``(spec_or_none, run_kwargs)``.
+    """What this invocation describes: ``(spec, run_kwargs)``.
 
     Three mutually-exclusive forms, mirroring ``api.run_sweep``:
     ``--spec FILE``; auto-generated parameter flags (built into
-    scenario selections); or the legacy flat flags / bare defaults
-    (kept byte-identical, deprecation-noted when spelled out).
+    scenario selections); or bare grid flags, which keep the
+    historical flat-grid semantics of ``flat_spec``.
     """
     from repro.experiments.sweep_spec import SweepSpec, flat_spec
 
@@ -354,22 +340,6 @@ def _resolve_sweep_request(args):
         for name in registered_params()
         if getattr(args, f"param_{name}") is not None
     }
-    legacy_given = {
-        name: getattr(args, name)
-        for name in _DEPRECATED_SWEEP_FLAGS
-        if getattr(args, name) is not None
-    }
-    if legacy_given:
-        replacements = ", ".join(
-            f"{_DEPRECATED_SWEEP_FLAGS[name][0]} -> "
-            f"{_DEPRECATED_SWEEP_FLAGS[name][1]}"
-            for name in sorted(legacy_given)
-        )
-        print(
-            f"note: deprecated sweep flags ({replacements}); see "
-            "docs/sweep_specs.md for the migration guide",
-            file=sys.stderr,
-        )
 
     overrides = {}
     if args.warmup is not None:
@@ -383,9 +353,6 @@ def _resolve_sweep_request(args):
         )
         conflicting = grid_given + [
             _param_flag(name) for name in sorted(param_values)
-        ] + [
-            _DEPRECATED_SWEEP_FLAGS[name][0]
-            for name in sorted(legacy_given)
         ]
         if conflicting:
             raise ConfigurationError(
@@ -395,70 +362,41 @@ def _resolve_sweep_request(args):
         spec = SweepSpec.load(args.spec)
         return spec, dict(spec=spec, **overrides)
 
-    grid = {
-        flag: (
-            getattr(args, flag)
-            if getattr(args, flag) is not None
-            else default
-        )
-        for flag, default in _SWEEP_GRID_DEFAULTS.items()
-    }
+    def flag_value(flag):
+        given = getattr(args, flag)
+        return given if given is not None else _SWEEP_GRID_DEFAULTS[flag]
+
+    grid_kwargs = dict(
+        scenarios=flag_value("scenarios"),
+        protocols=flag_value("protocols"),
+        num_nodes=flag_value("nodes"),
+        fanouts=flag_value("fanouts"),
+        replicates=flag_value("replicates"),
+        num_messages=flag_value("messages"),
+    )
     if param_values:
-        if legacy_given:
-            raise ConfigurationError(
-                "the deprecated flat flags "
-                f"{[_DEPRECATED_SWEEP_FLAGS[n][0] for n in sorted(legacy_given)]} "
-                "cannot be combined with per-scenario parameter flags "
-                f"{[_param_flag(n) for n in sorted(param_values)]}"
-            )
-        selections = _sweep_selections(args, grid["scenarios"], param_values)
+        selections = _sweep_selections(
+            args, grid_kwargs["scenarios"], param_values
+        )
         spec = SweepSpec(
-            scenarios=selections,
-            protocols=grid["protocols"],
-            num_nodes=grid["nodes"],
-            fanouts=grid["fanouts"],
-            replicates=grid["replicates"],
-            num_messages=grid["messages"],
+            **dict(grid_kwargs, scenarios=selections),
             seed=args.seed,
             scale=args.scale,
             config_overrides=overrides,
         )
         return spec, dict(spec=spec, **overrides)
 
-    # Legacy flat form (or bare defaults): None legacy kwargs fall back
-    # to their historical defaults inside run_sweep without tripping
-    # the deprecation shim, so a plain `repro sweep` stays silent.
-    run_kwargs = dict(
-        scenarios=grid["scenarios"],
-        protocols=grid["protocols"],
-        num_nodes=grid["nodes"],
-        fanouts=grid["fanouts"],
-        replicates=grid["replicates"],
-        num_messages=grid["messages"],
-        kill_fractions=args.kill_fractions,
-        churn_rates=args.churn_rates,
-        concurrent_messages=args.concurrent,
-        pulls_per_round=args.pulls,
-        **overrides,
-    )
+    # Bare flags run as a plain-name api.run_sweep call, whose spec
+    # bakes in no seed/scale/overrides — the history address of every
+    # existing store depends on that. The spec returned here (what
+    # --dump-spec writes) is the self-contained description.
     spec = flat_spec(
-        scenarios=grid["scenarios"],
-        protocols=grid["protocols"],
-        num_nodes=grid["nodes"],
-        fanouts=grid["fanouts"],
-        replicates=grid["replicates"],
-        num_messages=grid["messages"],
-        # None falls back to LEGACY_FLAT_DEFAULTS inside flat_spec —
-        # the same table run_sweep's deprecation shim reads.
-        kill_fractions=args.kill_fractions,
-        churn_rates=args.churn_rates,
-        concurrent_messages=args.concurrent,
-        pulls_per_round=args.pulls,
+        **grid_kwargs,
         seed=args.seed,
         scale=args.scale,
         config_overrides=overrides,
     )
-    return spec, run_kwargs
+    return spec, dict(grid_kwargs, **overrides)
 
 
 def _run_sweep(args) -> None:
@@ -979,6 +917,11 @@ def build_parser() -> argparse.ArgumentParser:
             "under every backend; --cache enables resume of "
             "interrupted sweeps."
         ),
+        # The removed --concurrent / --pulls must not prefix-match
+        # --concurrent-messages / --pulls-per-round: those attach per
+        # schema, not to every scenario, so an old script would keep
+        # running in a different RNG universe without a message.
+        allow_abbrev=False,
     )
     _add_common(sub)
     sub.add_argument(
@@ -1061,36 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{param.help} ({values_doc}scenarios: {consumers}; "
             f"default: {param.default})",
         )
-    legacy_group = sub.add_argument_group(
-        "deprecated flat parameters",
-        "the historical whole-grid knobs; superseded by the "
-        "per-scenario parameter flags above and by spec files "
-        "(byte-identical output either way)",
-    )
-    legacy_group.add_argument(
-        "--kill-fractions",
-        type=_csv_floats,
-        default=None,
-        help="deprecated: use --kill-fraction (default: 0.05)",
-    )
-    legacy_group.add_argument(
-        "--churn-rates",
-        type=_csv_floats,
-        default=None,
-        help="deprecated: use --churn-rate (default: 0.01)",
-    )
-    legacy_group.add_argument(
-        "--concurrent",
-        type=int,
-        default=None,
-        help="deprecated: use --concurrent-messages (default: 4)",
-    )
-    legacy_group.add_argument(
-        "--pulls",
-        type=int,
-        default=None,
-        help="deprecated: use --pulls-per-round (default: 1)",
-    )
     sub.add_argument(
         "--warmup",
         type=int,

@@ -47,7 +47,7 @@ from repro.experiments.scenarios import (
     run_churn_scenario,
     run_static_scenario,
 )
-from repro.experiments.sweep import SweepGrid, execute_jobs, run_sweep
+from repro.experiments.sweep import execute_jobs, run_sweep
 from repro.experiments.sweep_spec import (
     ScenarioSelection,
     SweepSpec,
@@ -85,7 +85,6 @@ __all__ = [
     "ScenarioSelection",
     "SocketWorkerBackend",
     "SweepBackend",
-    "SweepGrid",
     "SweepResult",
     "SweepSpec",
     "TrialResult",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.sweep import SweepGrid, TrialListGrid, run_sweep
+from repro.experiments.sweep import TrialListGrid, run_sweep
 from repro.experiments.sweep_results import (
     SweepResult,
     TrialResult,
@@ -163,7 +163,7 @@ def _with_replicate(spec: TrialSpec, replicate: int) -> TrialSpec:
 
 
 def run_adaptive_sweep(
-    grid: Any,
+    grid: SweepSpec,
     settings: AdaptiveSettings,
     base_config: Any = None,
     root_seed: int = 42,
@@ -171,24 +171,18 @@ def run_adaptive_sweep(
 ) -> AdaptiveOutcome:
     """Run ``grid`` with adaptive per-cell replicate allocation.
 
-    ``grid`` is a :class:`~repro.experiments.sweep_spec.SweepSpec` or
-    legacy :class:`~repro.experiments.sweep.SweepGrid`; its
+    ``grid`` is a :class:`~repro.experiments.sweep_spec.SweepSpec`; its
     ``replicates`` field is the initial batch per cell (at least 2 so
     the first CI is defined). All remaining keyword arguments are
     passed straight to :func:`~repro.experiments.sweep.run_sweep` —
     backends, caches, snapshot stores, and progress narration compose
     unchanged.
     """
-    if isinstance(grid, SweepGrid):
-        spec = grid.to_spec()
-    elif isinstance(grid, SweepSpec):
-        spec = grid
-    else:
+    if not isinstance(grid, SweepSpec):
         raise ConfigurationError(
-            "adaptive sweeps need a SweepSpec or SweepGrid, got "
-            f"{type(grid).__name__}"
+            f"adaptive sweeps need a SweepSpec, got {type(grid).__name__}"
         )
-    initial = spec.replicates
+    initial = grid.replicates
     if initial < 2:
         raise ConfigurationError(
             "adaptive sweeps need an initial batch of >= 2 replicates "
@@ -201,7 +195,7 @@ def run_adaptive_sweep(
         )
 
     # Round 0: the ordinary fixed run of the initial batch.
-    result = run_sweep(spec, base_config, root_seed, **run_kwargs)
+    result = run_sweep(grid, base_config, root_seed, **run_kwargs)
 
     # Cell bookkeeping in grid-expansion order. The replicate-0 trial
     # of each cell is its template for allocating further replicates.

@@ -2,7 +2,8 @@
 
 The paper's evaluation is a grid of (protocol, N, fanout, scenario,
 seed) trials; the figure pipeline runs them serially. This module
-expands a declarative :class:`SweepGrid` into independent
+expands a declarative
+:class:`~repro.experiments.sweep_spec.SweepSpec` into independent
 :class:`~repro.experiments.sweep_results.TrialSpec` cells and executes
 them through a pluggable
 :class:`~repro.experiments.sweep_backends.SweepBackend` — serially
@@ -48,10 +49,9 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig, OverlaySpec
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario_matrix import (
     resolve_scenario,
-    scenario_names,
     trial_config,
 )
 from repro.experiments.scenarios import DISSEMINATION_CORES
@@ -71,156 +71,12 @@ from repro.experiments.sweep_results import (
     load_cached_trial,
     store_trial,
 )
-from repro.experiments.sweep_spec import (
-    LEGACY_FLAT_DEFAULTS,
-    SweepSpec,
-    flat_spec,
-)
+from repro.experiments.sweep_spec import SweepSpec
 
-__all__ = ["SweepGrid", "TrialListGrid", "execute_jobs", "run_sweep"]
+__all__ = ["TrialListGrid", "execute_jobs", "run_sweep"]
 
 # progress(trial_key, seconds, cached) — the CLI narrates long sweeps.
 SweepProgress = Callable[[str, float, bool], None]
-
-_VALID_PROTOCOLS = OverlaySpec._KINDS
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """A declarative parameter grid.
-
-    Axes multiply: every scenario is crossed with every protocol,
-    population size, fanout and replicate. Scenario-specific axes
-    (``kill_fractions``, ``churn_rates``) multiply only into the
-    scenarios that read them.
-
-    >>> grid = SweepGrid(scenarios=("static",), protocols=("ringcast",),
-    ...                  num_nodes=(100,), fanouts=(2, 3), replicates=2)
-    >>> len(grid.expand())
-    4
-    """
-
-    scenarios: Tuple[str, ...] = ("static",)
-    protocols: Tuple[str, ...] = ("randcast", "ringcast")
-    num_nodes: Tuple[int, ...] = (150,)
-    fanouts: Tuple[int, ...] = (1, 2, 3, 4)
-    replicates: int = 1
-    num_messages: int = 5
-    kill_fractions: Tuple[float, ...] = LEGACY_FLAT_DEFAULTS[
-        "kill_fractions"
-    ]
-    churn_rates: Tuple[float, ...] = LEGACY_FLAT_DEFAULTS["churn_rates"]
-    concurrent_messages: int = LEGACY_FLAT_DEFAULTS["concurrent_messages"]
-    pulls_per_round: int = LEGACY_FLAT_DEFAULTS["pulls_per_round"]
-
-    def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be >= 1")
-        for axis in (
-            self.scenarios,
-            self.protocols,
-            self.num_nodes,
-            self.fanouts,
-        ):
-            if not axis:
-                raise ConfigurationError(
-                    "every grid axis needs at least one value"
-                )
-        known = scenario_names()
-        for scenario in self.scenarios:
-            if scenario not in known:
-                raise ConfigurationError(
-                    f"unknown scenario {scenario!r}; expected one of "
-                    f"{known}"
-                )
-        for protocol in self.protocols:
-            if protocol not in _VALID_PROTOCOLS:
-                raise ConfigurationError(
-                    f"unknown protocol {protocol!r}; expected one of "
-                    f"{_VALID_PROTOCOLS}"
-                )
-        # Duplicate axis values would expand into RNG-identical trials
-        # that aggregate as fake independent replicates (CI = 0).
-        for label, axis in (
-            ("scenario", self.scenarios),
-            ("protocol", self.protocols),
-            ("num_nodes", self.num_nodes),
-            ("fanout", self.fanouts),
-            ("kill_fraction", self.kill_fractions),
-            ("churn_rate", self.churn_rates),
-        ):
-            if len(set(axis)) != len(axis):
-                raise ConfigurationError(
-                    f"duplicate {label} value in grid: {axis}"
-                )
-        if "catastrophic" in self.scenarios and not self.kill_fractions:
-            raise ConfigurationError("kill_fractions must be non-empty")
-        churny = {"churn", "pull_churn"} & set(self.scenarios)
-        if churny and not self.churn_rates:
-            raise ConfigurationError("churn_rates must be non-empty")
-        if churny and any(rate <= 0.0 for rate in self.churn_rates):
-            raise ConfigurationError(
-                "churn scenarios need churn_rate > 0; use the 'static' "
-                "scenario for a churn-free baseline"
-            )
-
-    def _scenario_variants(
-        self, scenario: str
-    ) -> List[Dict[str, float]]:
-        """The scenario-specific sub-axes (kill fraction, churn rate)."""
-        if scenario == "catastrophic":
-            return [{"kill_fraction": k} for k in self.kill_fractions]
-        if scenario in ("churn", "pull_churn"):
-            return [{"churn_rate": r} for r in self.churn_rates]
-        return [{}]
-
-    def to_spec(self) -> SweepSpec:
-        """The equivalent declarative :class:`SweepSpec`.
-
-        ``grid.to_spec().expand() == grid.expand()`` — same trials,
-        same keys, same bytes (pinned by golden tests) — so legacy
-        grids migrate to spec files losslessly.
-        """
-        return flat_spec(
-            scenarios=self.scenarios,
-            protocols=self.protocols,
-            num_nodes=self.num_nodes,
-            fanouts=self.fanouts,
-            replicates=self.replicates,
-            num_messages=self.num_messages,
-            kill_fractions=self.kill_fractions,
-            churn_rates=self.churn_rates,
-            concurrent_messages=self.concurrent_messages,
-            pulls_per_round=self.pulls_per_round,
-        )
-
-    def expand(self) -> Tuple[TrialSpec, ...]:
-        """Every trial of the grid, in canonical (deterministic) order."""
-        specs: List[TrialSpec] = []
-        for scenario in self.scenarios:
-            for variant in self._scenario_variants(scenario):
-                for protocol in self.protocols:
-                    for nodes in self.num_nodes:
-                        for fanout in self.fanouts:
-                            for replicate in range(self.replicates):
-                                specs.append(
-                                    TrialSpec(
-                                        scenario=scenario,
-                                        protocol=protocol,
-                                        num_nodes=nodes,
-                                        fanout=fanout,
-                                        replicate=replicate,
-                                        num_messages=self.num_messages,
-                                        concurrent_messages=(
-                                            self.concurrent_messages
-                                        ),
-                                        pulls_per_round=(
-                                            self.pulls_per_round
-                                        ),
-                                        **variant,
-                                    )
-                                )
-        return tuple(specs)
 
 
 @dataclass(frozen=True)
@@ -267,6 +123,9 @@ def execute_jobs(
     ``"inline"`` or ``"process"`` explicitly; the socket backend is
     rejected here because generic callables don't cross its typed
     JSON wire format.
+
+    >>> execute_jobs([(pow, (2, 5)), (max, (3, 1))])
+    [32, 3]
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -274,7 +133,7 @@ def execute_jobs(
 
 
 def run_sweep(
-    grid: Union[SweepGrid, SweepSpec],
+    grid: SweepSpec,
     base_config: Optional[ExperimentConfig] = None,
     root_seed: int = 42,
     workers: int = 1,
@@ -292,10 +151,8 @@ def run_sweep(
     """Expand ``grid``, execute every trial, aggregate into a result.
 
     Args:
-        grid: The declarative parameter grid — a legacy
-            :class:`SweepGrid`, a
-            :class:`~repro.experiments.sweep_spec.SweepSpec` (same
-            expansion contract; specs additionally serialise), or a
+        grid: The declarative parameter grid — a
+            :class:`~repro.experiments.sweep_spec.SweepSpec` — or a
             :class:`TrialListGrid` of explicit trials.
         base_config: Template for per-trial configs (warm-up cycles,
             view sizes, churn caps...); grid axes override its
@@ -442,22 +299,14 @@ def run_sweep(
         for scenario in {spec.scenario for spec in specs}
     }
     if pending:
-        # Legacy call shape: custom SweepBackend implementations
-        # predating the snapshot store / core selection keep working
-        # untouched as long as neither feature is requested — the
-        # optional kwargs are only passed at non-default values.
-        extra_kwargs: Dict[str, Any] = {}
-        if provider is not None:
-            extra_kwargs["provider"] = provider
-        if core != "auto":
-            extra_kwargs["core"] = core
         backend_obj.run_trials(
             tuple(pending),
             config,
             root_seed,
             executors,
             finish,
-            **extra_kwargs,
+            provider=provider,
+            core=core,
         )
 
     ordered = tuple(results[index] for index in range(len(specs)))

@@ -488,14 +488,11 @@ class SweepBackend(ABC):
     Completion *order* is free; the engine reassembles grid order.
 
     ``provider`` (a
-    :class:`~repro.experiments.snapshot_store.SnapshotProvider`) is
-    passed only when the sweep runs with the overlay snapshot store /
-    overlay reuse enabled; backends thread it to the trial executors
-    so warm-ups can be skipped. ``core`` selects the dissemination
-    core (see :func:`repro.experiments.scenarios.resolve_core`) and is
-    likewise passed only when non-default. The engine omits both
-    arguments entirely at their defaults, so pre-existing custom
-    backends keep working unchanged.
+    :class:`~repro.experiments.snapshot_store.SnapshotProvider`, or
+    ``None`` when the overlay snapshot store / overlay reuse is off)
+    is threaded to the trial executors so warm-ups can be skipped.
+    ``core`` selects the dissemination core (see
+    :func:`repro.experiments.scenarios.resolve_core`).
     """
 
     name: str = "abstract"

@@ -25,16 +25,17 @@ Two constructors cover the common cases:
 * :func:`scenario` builds one selection —
   ``scenario("churn", churn_rate=[0.01, 0.05])`` sweeps the churn rate
   as an axis of the churn scenario only.
-* :func:`flat_spec` reproduces the legacy flat-kwarg semantics
-  (``kill_fractions`` applied to every scenario that consumes
-  ``kill_fraction``, ``concurrent_messages``/``pulls_per_round``
-  applied to every scenario) so pre-redesign sweeps keep their exact
-  trial expansion — and therefore their RNG universes, cache keys and
-  output bytes.
+* :func:`flat_spec` is the one home of the historical flat-grid
+  semantics (``kill_fractions`` applied to every scenario that
+  consumes ``kill_fraction``, ``concurrent_messages``/
+  ``pulls_per_round`` applied to every scenario). Plain-name sweeps
+  (``api.run_sweep(scenarios=("static",))``, bare ``repro sweep``)
+  expand through it, so they keep their exact trial expansion — and
+  therefore their RNG universes, cache keys and output bytes.
 
-Expansion order matches the legacy grid: scenario → parameter
-combination → protocol → population → fanout → replicate, with
-parameter axes nested in schema-declaration order.
+Expansion order: scenario → parameter combination → protocol →
+population → fanout → replicate, with parameter axes nested in
+schema-declaration order.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.experiments.sweep_results import (
 )
 
 __all__ = [
-    "LEGACY_FLAT_DEFAULTS",
     "SPEC_FORMAT",
     "ScenarioSelection",
     "SweepSpec",
@@ -78,17 +78,6 @@ __all__ = [
 
 # Bump when the spec-file schema changes incompatibly.
 SPEC_FORMAT = 1
-
-# The historical whole-grid knob defaults, in one place: SweepGrid's
-# field defaults, flat_spec, api.run_sweep's deprecation shim and the
-# CLI all read this table — the byte-identity contract between them
-# depends on there being exactly one copy.
-LEGACY_FLAT_DEFAULTS: Mapping[str, Any] = {
-    "kill_fractions": (0.05,),
-    "churn_rates": (0.01,),
-    "concurrent_messages": 4,
-    "pulls_per_round": 1,
-}
 
 # Universal parameters that may ride along as *scalars* on scenarios
 # that do not declare them: the historical flat grid attached these
@@ -549,39 +538,32 @@ def flat_spec(
     fanouts: Sequence[int] = (1, 2, 3, 4),
     replicates: int = 1,
     num_messages: int = 5,
-    kill_fractions: Optional[Sequence[float]] = None,
-    churn_rates: Optional[Sequence[float]] = None,
-    concurrent_messages: Optional[int] = None,
-    pulls_per_round: Optional[int] = None,
-    param_values: Optional[Mapping[str, Sequence[ParamValue]]] = None,
+    kill_fractions: Sequence[float] = (0.05,),
+    churn_rates: Sequence[float] = (0.01,),
+    concurrent_messages: int = 4,
+    pulls_per_round: int = 1,
     seed: Optional[int] = None,
     scale: Optional[str] = None,
     config_overrides: Union[
         Mapping[str, Any], Tuple[Tuple[str, Any], ...]
     ] = (),
 ) -> SweepSpec:
-    """A :class:`SweepSpec` with the legacy flat-kwarg semantics.
+    """A :class:`SweepSpec` with the historical flat-grid semantics.
 
-    Exactly reproduces the historical ``SweepGrid`` expansion:
     ``kill_fractions`` becomes an axis of every scenario consuming
     ``kill_fraction``, ``churn_rates`` of every scenario consuming
     ``churn_rate``, and the scalar ``concurrent_messages`` /
-    ``pulls_per_round`` attach to *every* scenario (that is what the
-    flat grid did, and trial keys depend on it). ``param_values`` adds
-    values for any other schema-declared parameter by name — this is
-    how the CLI's auto-generated flags reach new scenarios without
-    naming them anywhere. The four flat knobs default to
-    :data:`LEGACY_FLAT_DEFAULTS` when ``None``.
+    ``pulls_per_round`` attach to *every* scenario. Trial keys — and
+    with them RNG universes, cache digests and every golden — depend
+    on exactly this attachment and on these keyword defaults, which is
+    why both live here and nowhere else.
+
+    >>> spec = flat_spec(scenarios=("static", "catastrophic"),
+    ...                  protocols=("ringcast",), num_nodes=(100,),
+    ...                  fanouts=(2, 3), kill_fractions=(0.05, 0.1))
+    >>> len(spec.expand())  # static: 2 fanouts; catastrophic: 2 x 2
+    6
     """
-    if kill_fractions is None:
-        kill_fractions = LEGACY_FLAT_DEFAULTS["kill_fractions"]
-    if churn_rates is None:
-        churn_rates = LEGACY_FLAT_DEFAULTS["churn_rates"]
-    if concurrent_messages is None:
-        concurrent_messages = LEGACY_FLAT_DEFAULTS["concurrent_messages"]
-    if pulls_per_round is None:
-        pulls_per_round = LEGACY_FLAT_DEFAULTS["pulls_per_round"]
-    extra = dict(param_values or {})
     selections = []
     for name in scenarios:
         schema = scenario_schema(name)  # raises for unknown names
@@ -592,12 +574,6 @@ def flat_spec(
             params["churn_rate"] = tuple(churn_rates)
         params["concurrent_messages"] = (concurrent_messages,)
         params["pulls_per_round"] = (pulls_per_round,)
-        for param_name, values in extra.items():
-            if (
-                param_name not in params
-                and schema.param(param_name) is not None
-            ):
-                params[param_name] = _as_values(param_name, values)
         selections.append(
             ScenarioSelection(
                 name=name,

@@ -331,7 +331,15 @@ def analyze_run(
     sim_seed: int = 1,
     hops_tolerance: float = 2.0,
 ) -> NetRunReport:
-    """Analyze every published message found in ``log_dir``'s logs."""
+    """Analyze every published message found in ``log_dir``'s logs.
+
+    ``sim_trials=0`` skips the simulator cross-check: ``predicted`` and
+    ``hops_within_tolerance`` stay ``None`` on every message.
+    """
+    if sim_trials < 0:
+        raise ConfigurationError(
+            f"sim_trials must be >= 0, got {sim_trials}"
+        )
     log_dir = Path(log_dir)
     events, skipped = _load_events(log_dir)
     node_ids = sorted(events.keys())
@@ -405,7 +413,11 @@ def analyze_run(
         snapshot = _snapshot_at(
             events, published_ts, protocols.get(origin, "ringcast")
         )
-        if snapshot is not None and origin in snapshot.alive_set:
+        if (
+            sim_trials
+            and snapshot is not None
+            and origin in snapshot.alive_set
+        ):
             message.predicted = _predict(
                 snapshot,
                 origin,

@@ -52,7 +52,8 @@ from repro.dissemination.policies import (
 from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenarios import DISSEMINATION_CORES, resolve_core
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep_spec import flat_spec
 from tests.conftest import build_snapshot
 
 POLICIES = (FloodingPolicy(), RandCastPolicy(), RingCastPolicy())
@@ -423,7 +424,7 @@ class TestAutoThresholdBoundary:
         assert reference.notified == snapshot.population
 
 
-SMALL_GRID = SweepGrid(
+SMALL_GRID = flat_spec(
     scenarios=("static",),
     protocols=("ringcast",),
     num_nodes=(40,),

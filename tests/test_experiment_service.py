@@ -10,6 +10,7 @@ to fixed-replicate runs of the same depth.
 """
 
 import json
+import shutil
 import zlib
 from pathlib import Path
 
@@ -42,10 +43,10 @@ from repro.experiments.htmlreport import (
     source_from_entry,
     write_html_report,
 )
-from repro.experiments.sweep import SweepGrid, TrialListGrid
+from repro.experiments.sweep import TrialListGrid
 from repro.experiments.sweep import run_sweep as run_sweep_core
 from repro.experiments.sweep_results import TrialSpec, config_fingerprint
-from repro.experiments.sweep_spec import SweepSpec
+from repro.experiments.sweep_spec import SweepSpec, flat_spec
 from tests.store_defects import FILE_DEFECTS
 
 HISTORY_MAGIC = b"RHISTZ1\n"  # pinned: the on-disk format, not an import
@@ -323,6 +324,51 @@ class TestHistoryFacade:
         second = run_sweep(history=tmp_path, **self.KW)
         assert second.to_json() == first.to_json()
 
+    def test_parent_written_plain_name_entry_is_a_pure_hit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``tests/data/stores/history_plain_name/`` was written at
+        commit ``f335329`` (before ``SweepGrid`` was removed) by exactly
+        this plain-name call. The address hashes the spec fingerprint,
+        so the entry answers only if a plain-name grid still resolves
+        to ``flat_spec`` with nothing of seed/scale/overrides baked in
+        — from the facade and from a bare-flags ``repro sweep``."""
+        store = shutil.copytree(
+            DATA_DIR / "stores" / "history_plain_name", tmp_path / "store"
+        )  # a copy: a hit bumps the entry's mtime
+        (entry,) = list_history(store)
+
+        def explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("history address moved: entry missed")
+
+        monkeypatch.setattr(repro.api, "_run_sweep", explode)
+        result = run_sweep(
+            scenarios=("static", "catastrophic"),
+            protocols=("ringcast",),
+            num_nodes=(40,),
+            fanouts=(2,),
+            replicates=1,
+            num_messages=2,
+            scale="tiny",
+            seed=5,
+            warmup_cycles=10,
+            history=store,
+        )
+        assert [t.spec.key for t in result.trials] == [
+            "sweep/static/ringcast/n40/f2/m2/kill0.0/churn0.0/cm4/p1/rep0",
+            "sweep/catastrophic/ringcast/n40/f2/m2/kill0.05/churn0.0/cm4/p1/rep0",
+        ]
+        from repro.cli import main
+
+        out = tmp_path / "cli.json"
+        argv = "sweep --scale tiny --seed 5 --scenarios static,catastrophic"
+        argv += " --protocols ringcast --nodes 40 --fanouts 2 --replicates 1"
+        argv += f" --messages 2 --warmup 10 --history {store} --json {out}"
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == result.to_json() + "\n"
+        assert [e.address for e in list_history(store)] == [entry.address]
+
     def test_different_seed_misses(self, tmp_path):
         first = run_sweep(history=tmp_path, **self.KW)
         other = run_sweep(history=tmp_path, seed=7, **self.KW)
@@ -344,7 +390,7 @@ class TestHistoryFacade:
 
 
 class TestAdaptive:
-    GRID = SweepGrid(
+    GRID = flat_spec(
         scenarios=("static",),
         protocols=("randcast", "ringcast"),
         num_nodes=(40,),
@@ -385,7 +431,7 @@ class TestAdaptive:
             self.GRID, settings_, base_config=BASE, root_seed=5
         )
         fixed = run_sweep_core(
-            SweepGrid(
+            flat_spec(
                 scenarios=("static",),
                 protocols=("randcast", "ringcast"),
                 num_nodes=(40,),

@@ -78,10 +78,11 @@ class TestSweepParallelDeterminism:
 
     def _sweep(self, workers):
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.sweep import SweepGrid, run_sweep
+        from repro.experiments.sweep import run_sweep
+        from repro.experiments.sweep_spec import flat_spec
 
         base = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=123)
-        grid = SweepGrid(
+        grid = flat_spec(
             scenarios=("static", "multi_message"),
             protocols=("randcast", "ringcast"),
             num_nodes=(40,),
@@ -101,10 +102,11 @@ class TestSweepParallelDeterminism:
 
     def test_root_seed_changes_bytes(self):
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.sweep import SweepGrid, run_sweep
+        from repro.experiments.sweep import run_sweep
+        from repro.experiments.sweep_spec import flat_spec
 
         base = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=123)
-        grid = SweepGrid(
+        grid = flat_spec(
             scenarios=("static",),
             protocols=("randcast",),
             num_nodes=(40,),

@@ -573,6 +573,17 @@ class TestAnalyzerSyntheticLogs:
         assert m.hops_within_tolerance is None
         assert "sim prediction" not in render_net_report(report)
 
+    def test_zero_sim_trials_skips_the_cross_check(self, tmp_path):
+        _chain_logs(tmp_path)
+        report = analyze_run(tmp_path, sim_trials=0)
+        (m,) = report.messages
+        assert m.delivery_ratio == 1.0  # observed side is unaffected
+        assert m.predicted is None
+        assert m.hops_within_tolerance is None
+        assert "sim prediction" not in render_net_report(report)
+        with pytest.raises(ConfigurationError, match="sim_trials"):
+            analyze_run(tmp_path, sim_trials=-1)
+
     def test_empty_log_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no .jsonl"):
             analyze_run(tmp_path)

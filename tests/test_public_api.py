@@ -14,11 +14,22 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_names_removed_in_2_0_0_are_gone(self):
+        import repro.experiments.sweep
+        import repro.experiments.sweep_spec
+
+        for module in (repro, repro.experiments, repro.experiments.sweep):
+            assert not hasattr(module, "SweepGrid"), module.__name__
+            assert "SweepGrid" not in module.__all__
+        assert not hasattr(
+            repro.experiments.sweep_spec, "LEGACY_FLAT_DEFAULTS"
+        )
 
     @pytest.mark.parametrize(
         "module_name",
@@ -52,6 +63,7 @@ class TestDoctests:
             "repro.sim.engine",
             "repro.membership.ring_ids",
             "repro.experiments.sweep",
+            "repro.experiments.sweep_spec",
             "repro.metrics.aggregate",
             "repro.metrics.load",
             "repro.graphs.generators",

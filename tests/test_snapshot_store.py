@@ -52,7 +52,8 @@ from repro.experiments.snapshot_store import (
     snapshot_to_dict,
     store_snapshot_entry,
 )
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep_spec import flat_spec
 from repro.experiments.sweep_backends import InlineBackend
 from repro.experiments.sweep_results import TrialSpec
 from repro.common.errors import ConfigurationError
@@ -67,7 +68,7 @@ SNAPSHOT_MAGIC = b"RSNAPZ1\n"  # pinned: the on-disk format, not an import
 GOLDEN_BASE = ExperimentConfig(
     num_nodes=40, warmup_cycles=10, seed=11, churn_max_cycles=400
 )
-GOLDEN_GRID = SweepGrid(
+GOLDEN_GRID = flat_spec(
     scenarios=(
         "static",
         "catastrophic",
@@ -86,7 +87,7 @@ GOLDEN_GRID = SweepGrid(
     pulls_per_round=1,
 )
 SMALL_BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
-SMALL_GRID = SweepGrid(
+SMALL_GRID = flat_spec(
     scenarios=("static", "catastrophic"),
     protocols=("randcast", "ringcast"),
     num_nodes=(40,),
@@ -430,8 +431,8 @@ class TestGoldenByteIdentityWithStore:
 
     def test_snapshot_store_composes_with_trial_cache(self, tmp_path):
         golden = golden_bytes("golden_sweep_small_pre_redesign.json")
-        grid = SweepGrid(
-            scenarios=GOLDEN_GRID.scenarios,
+        grid = flat_spec(
+            scenarios=tuple(s.name for s in GOLDEN_GRID.scenarios),
             protocols=("ringcast",),
             num_nodes=(40,),
             fanouts=(2,),

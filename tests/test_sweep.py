@@ -19,7 +19,7 @@ from repro.experiments.scenario_matrix import (
     run_trial,
     scenario_names,
 )
-from repro.experiments.sweep import SweepGrid, execute_jobs, run_sweep
+from repro.experiments.sweep import execute_jobs, run_sweep
 from repro.experiments.sweep_results import (
     SweepResult,
     TrialResult,
@@ -31,11 +31,12 @@ from repro.experiments.sweep_results import (
     summarize_cells,
     trial_cache_path,
 )
+from repro.experiments.sweep_spec import flat_spec
 from tests.store_defects import FILE_DEFECTS, hammer
 
 BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
-SMALL_GRID = SweepGrid(
+SMALL_GRID = flat_spec(
     scenarios=("static",),
     protocols=("randcast", "ringcast"),
     num_nodes=(40,),
@@ -50,6 +51,8 @@ def small_sweep(**kwargs):
 
 
 class TestSweepGrid:
+    """The flat grid: ``flat_spec`` expansion and eager validation."""
+
     def test_expansion_is_full_product(self):
         specs = SMALL_GRID.expand()
         assert len(specs) == 2 * 2 * 2  # protocols x fanouts x replicates
@@ -59,7 +62,7 @@ class TestSweepGrid:
         assert SMALL_GRID.expand() == SMALL_GRID.expand()
 
     def test_scenario_specific_axes_multiply(self):
-        grid = SweepGrid(
+        grid = flat_spec(
             scenarios=("static", "catastrophic"),
             protocols=("ringcast",),
             num_nodes=(40,),
@@ -77,39 +80,43 @@ class TestSweepGrid:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepGrid(scenarios=("nope",))
+            flat_spec(scenarios=("nope",))
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepGrid(protocols=("carrier-pigeon",))
+            flat_spec(protocols=("carrier-pigeon",))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepGrid(fanouts=())
+            flat_spec(fanouts=())
+        with pytest.raises(ConfigurationError):
+            flat_spec(scenarios=("catastrophic",), kill_fractions=())
+        with pytest.raises(ConfigurationError):
+            flat_spec(scenarios=("churn",), churn_rates=())
 
     def test_bad_replicates_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepGrid(replicates=0)
+            flat_spec(replicates=0)
 
     def test_zero_churn_rate_rejected_for_churn_scenarios(self):
         # A cell labelled 0% churn must never silently run at the
         # config default rate; churn-free is the static scenario.
         with pytest.raises(ConfigurationError):
-            SweepGrid(scenarios=("churn",), churn_rates=(0.0, 0.01))
+            flat_spec(scenarios=("churn",), churn_rates=(0.0, 0.01))
         with pytest.raises(ConfigurationError):
-            SweepGrid(scenarios=("pull_churn",), churn_rates=(0.0,))
+            flat_spec(scenarios=("pull_churn",), churn_rates=(0.0,))
 
     def test_duplicate_axis_values_rejected(self):
         # Duplicates would expand into RNG-identical trials posing as
         # independent replicates (fabricated CI=0 confidence).
         with pytest.raises(ConfigurationError):
-            SweepGrid(fanouts=(2, 2))
+            flat_spec(fanouts=(2, 2))
         with pytest.raises(ConfigurationError):
-            SweepGrid(protocols=("ringcast", "ringcast"))
+            flat_spec(protocols=("ringcast", "ringcast"))
         with pytest.raises(ConfigurationError):
-            SweepGrid(num_nodes=(40, 40))
+            flat_spec(num_nodes=(40, 40))
         with pytest.raises(ConfigurationError):
-            SweepGrid(
+            flat_spec(
                 scenarios=("catastrophic",),
                 kill_fractions=(0.05, 0.05),
             )
@@ -372,7 +379,7 @@ class TestTrialExecution:
         # don't inherit the parent's registry (spawn/forkserver).
         register_scenario("noop", _noop_executor)
         try:
-            grid = SweepGrid(
+            grid = flat_spec(
                 scenarios=("noop",),
                 protocols=("ringcast",),
                 num_nodes=(40,),
@@ -449,7 +456,7 @@ class TestRunSweep:
             effectiveness_figure(result, "churn", 40)
 
     def _multi_fraction_sweep(self):
-        grid = SweepGrid(
+        grid = flat_spec(
             scenarios=("catastrophic",),
             protocols=("ringcast",),
             num_nodes=(40,),

@@ -14,7 +14,8 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep_spec import flat_spec
 from repro.experiments.sweep_backends import (
     AUTH_SCHEME,
     FrameDecoder,
@@ -29,7 +30,7 @@ from repro.experiments.sweep_backends import (
 
 BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
-GRID = SweepGrid(
+GRID = flat_spec(
     scenarios=("static",),
     protocols=("randcast",),
     num_nodes=(40,),

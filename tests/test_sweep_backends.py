@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario_matrix import run_trial, scenario_names
-from repro.experiments.sweep import SweepGrid, execute_jobs, run_sweep
+from repro.experiments.sweep import execute_jobs, run_sweep
+from repro.experiments.sweep_spec import flat_spec
 from repro.experiments.sweep_backends import (
     DEFAULT_TRIAL_DEADLINE,
     FRAME_DEFLATE_FLAG,
@@ -42,7 +43,7 @@ from repro.experiments.sweep_results import TrialSpec
 
 BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
-GRID = SweepGrid(
+GRID = flat_spec(
     scenarios=("static",),
     protocols=("randcast", "ringcast"),
     num_nodes=(40,),

@@ -3,14 +3,14 @@
 Pins the redesign's load-bearing contract: sweep JSON for the five
 pre-redesign scenarios is **byte-identical** to the seed
 implementation (goldens recorded against the pre-redesign code in
-``tests/data/``), whether the sweep is described by legacy flat
-kwargs, ``scenario(...)`` selections, or a spec file, and whichever
-backend (inline / process / socket) runs it. On top of that:
-hypothesis round-trip properties for ``SweepSpec`` serialisation,
-the ``SweepGrid`` ↔ ``flat_spec`` equivalence, the auto-generated CLI
+``tests/data/``), whether the sweep is described by ``flat_spec``,
+plain scenario names, or a spec file, and whichever backend (inline /
+process / socket) runs it. On top of that: hypothesis round-trip
+properties for ``SweepSpec`` serialisation, the auto-generated CLI
 (including that a runtime-registered plugin scenario gets its flag
-with zero CLI edits), strict ``run_experiment`` parameter validation,
-and the Mundinger ``scheduling_optimal`` baseline scenario.
+with zero CLI edits, and that the flat kwargs and flags removed in
+2.0.0 are hard errors), strict ``run_experiment`` parameter
+validation, and the Mundinger ``scheduling_optimal`` baseline scenario.
 """
 
 import math
@@ -21,7 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import run_experiment, run_sweep as api_run_sweep
+import repro.api
+from repro.api import (
+    run_adaptive_sweep as api_run_adaptive_sweep,
+    run_experiment,
+    run_sweep as api_run_sweep,
+)
 from repro.cli import build_parser, main
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngRegistry
@@ -39,7 +44,7 @@ from repro.experiments.scheduling_optimal import (
     greedy_schedule_rounds,
     lower_bound_rounds,
 )
-from repro.experiments.sweep import SweepGrid, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_results import (
     UNIVERSAL_PARAM_DEFAULTS,
     TrialResult,
@@ -59,7 +64,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_BASE = ExperimentConfig(
     num_nodes=40, warmup_cycles=10, seed=11, churn_max_cycles=400
 )
-GOLDEN_GRID = SweepGrid(
+GOLDEN_GRID = flat_spec(
     scenarios=(
         "static",
         "catastrophic",
@@ -77,8 +82,8 @@ GOLDEN_GRID = SweepGrid(
     concurrent_messages=3,
     pulls_per_round=1,
 )
-SMALL_GRID = SweepGrid(
-    scenarios=GOLDEN_GRID.scenarios,
+SMALL_KWARGS = dict(
+    scenarios=tuple(s.name for s in GOLDEN_GRID.scenarios),
     protocols=("ringcast",),
     num_nodes=(40,),
     fanouts=(2,),
@@ -89,6 +94,7 @@ SMALL_GRID = SweepGrid(
     concurrent_messages=3,
     pulls_per_round=1,
 )
+SMALL_GRID = flat_spec(**SMALL_KWARGS)
 
 
 def golden_bytes(name: str) -> str:
@@ -226,13 +232,8 @@ class TestGoldenTrialKeys:
         pinned = golden_bytes("golden_trial_keys.txt").splitlines()
         assert [s.key for s in GOLDEN_GRID.expand()] == pinned
 
-    def test_grid_to_spec_expands_identically(self):
-        grid_specs = GOLDEN_GRID.expand()
-        spec_specs = GOLDEN_GRID.to_spec().expand()
-        assert spec_specs == grid_specs
-
     def test_spec_json_roundtrip_preserves_expansion(self):
-        spec = GOLDEN_GRID.to_spec()
+        spec = GOLDEN_GRID
         again = SweepSpec.from_json(spec.to_json())
         assert again == spec
         assert again.expand() == spec.expand()
@@ -242,11 +243,11 @@ class TestGoldenSweepBytes:
     """The recorded pre-redesign sweep JSON, reproduced bit-for-bit.
 
     The big golden (48 trials, both protocols, a kill axis) runs once
-    through the legacy-grid path with a cache, then the spec path
-    replays against the same cache — proving key *and* fingerprint
-    identity (a single cache miss would change the second run's
-    timings... and a diverged key would recompute, which the byte
-    comparison plus the cache-hit assertion would expose).
+    from the in-memory ``flat_spec`` with a cache, then its JSON
+    round-trip (what ``--spec FILE`` loads) replays against the same
+    cache — proving key *and* fingerprint identity (a diverged key
+    would recompute, which the byte comparison plus the cache-hit
+    assertion would expose).
     """
 
     def test_legacy_grid_and_spec_path_match_seed_bytes(self, tmp_path):
@@ -264,48 +265,71 @@ class TestGoldenSweepBytes:
         )
         assert legacy.to_json() + "\n" == golden
         via_spec = run_sweep(
-            GOLDEN_GRID.to_spec(),
+            SweepSpec.from_json(GOLDEN_GRID.to_json()),
             base_config=GOLDEN_BASE,
             root_seed=11,
             cache_dir=tmp_path,
             progress=progress,
         )
         assert via_spec.to_json() + "\n" == golden
-        assert hits and all(hits), "spec path missed the legacy cache"
+        assert hits and all(hits), "spec-file path missed the cache"
 
-    def test_api_legacy_kwargs_match_seed_bytes(self):
-        golden = golden_bytes("golden_sweep_small_pre_redesign.json")
-        with pytest.deprecated_call():
-            result = api_run_sweep(
-                scenarios=SMALL_GRID.scenarios,
-                protocols=SMALL_GRID.protocols,
-                num_nodes=SMALL_GRID.num_nodes,
-                fanouts=SMALL_GRID.fanouts,
-                replicates=SMALL_GRID.replicates,
-                num_messages=SMALL_GRID.num_messages,
-                kill_fractions=SMALL_GRID.kill_fractions,
-                churn_rates=SMALL_GRID.churn_rates,
-                concurrent_messages=SMALL_GRID.concurrent_messages,
-                pulls_per_round=SMALL_GRID.pulls_per_round,
-                seed=11,
-                warmup_cycles=10,
-                churn_max_cycles=400,
-            )
-        assert result.to_json() + "\n" == golden
+    def test_plain_name_and_spec_paths_share_the_trial_cache(
+        self, tmp_path
+    ):
+        # A plain-name call expands through flat_spec at its defaults,
+        # so the same grid passed as spec= must hit every cached trial.
+        kwargs = dict(
+            scenarios=("static", "multi_message"),
+            protocols=("ringcast",),
+            num_nodes=(40,),
+            fanouts=(2,),
+            num_messages=2,
+        )
+        first = api_run_sweep(
+            **kwargs, seed=5, warmup_cycles=10, cache_dir=tmp_path
+        )
+        hits = []
+        again = api_run_sweep(
+            spec=flat_spec(**kwargs),
+            seed=5,
+            warmup_cycles=10,
+            cache_dir=tmp_path,
+            progress=lambda key, seconds, cached: hits.append(cached),
+        )
+        assert hits and all(hits)
+        assert again.to_json() == first.to_json()
+
+    @pytest.mark.parametrize(
+        "facade", [api_run_sweep, api_run_adaptive_sweep]
+    )
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"kill_fractions": (0.1,)},
+            {"churn_rates": (0.02,)},
+            {"concurrent_messages": 3},
+            {"pulls_per_round": 2},
+        ],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_removed_flat_kwargs_are_type_errors(
+        self, monkeypatch, facade, removed
+    ):
+        # **config_overrides swallows unknown names, so the error comes
+        # from ExperimentConfig — before any trial may run.
+        def explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a removed kwarg reached the engine")
+
+        monkeypatch.setattr(repro.api, "_run_sweep", explode)
+        monkeypatch.setattr(repro.api, "_run_adaptive", explode)
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            facade(scenarios=("catastrophic",), **removed)
 
     def test_api_spec_file_matches_seed_bytes(self, tmp_path):
         golden = golden_bytes("golden_sweep_small_pre_redesign.json")
         spec = flat_spec(
-            scenarios=SMALL_GRID.scenarios,
-            protocols=SMALL_GRID.protocols,
-            num_nodes=SMALL_GRID.num_nodes,
-            fanouts=SMALL_GRID.fanouts,
-            replicates=SMALL_GRID.replicates,
-            num_messages=SMALL_GRID.num_messages,
-            kill_fractions=SMALL_GRID.kill_fractions,
-            churn_rates=SMALL_GRID.churn_rates,
-            concurrent_messages=SMALL_GRID.concurrent_messages,
-            pulls_per_round=SMALL_GRID.pulls_per_round,
+            **SMALL_KWARGS,
             seed=11,
             config_overrides={
                 "warmup_cycles": 10,
@@ -323,7 +347,7 @@ class TestGoldenCrossBackend:
 
     @pytest.fixture(scope="class")
     def small_spec(self):
-        return SMALL_GRID.to_spec()
+        return SMALL_GRID
 
     @pytest.mark.parametrize("backend", ["inline", "process", "socket"])
     def test_backend_matches_seed_bytes(self, small_spec, backend):
@@ -410,7 +434,7 @@ class TestSweepSpecValidation:
     def test_api_spec_conflicts_with_grid_kwargs(self, tmp_path):
         # Silently running the spec's replicates while the caller
         # passed replicates=5 would misdescribe their statistics.
-        path = SMALL_GRID.to_spec().save(tmp_path / "s.json")
+        path = SMALL_GRID.save(tmp_path / "s.json")
         with pytest.raises(ConfigurationError, match="replicates"):
             api_run_sweep(spec=path, replicates=5)
 
@@ -436,7 +460,7 @@ class TestSweepSpecValidation:
 
 
 # ----------------------------------------------------------------------
-# hypothesis: serialisation round-trip + legacy equivalence
+# hypothesis: serialisation round-trip
 # ----------------------------------------------------------------------
 
 _PARAM_VALUES = {
@@ -543,69 +567,6 @@ class TestSpecRoundTripProperties:
         assert [t.key for t in again.expand()] == [
             t.key for t in spec.expand()
         ]
-
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        scenarios=st.lists(
-            st.sampled_from(
-                (
-                    "static",
-                    "catastrophic",
-                    "churn",
-                    "multi_message",
-                    "pull_churn",
-                )
-            ),
-            min_size=1,
-            max_size=5,
-            unique=True,
-        ),
-        fanouts=st.lists(
-            st.integers(1, 6), min_size=1, max_size=3, unique=True
-        ),
-        replicates=st.integers(1, 3),
-        kill_fractions=st.lists(
-            st.floats(0.0, 0.9, allow_nan=False),
-            min_size=1,
-            max_size=3,
-            unique=True,
-        ),
-        churn_rates=st.lists(
-            st.floats(0.001, 0.5, allow_nan=False),
-            min_size=1,
-            max_size=2,
-            unique=True,
-        ),
-        concurrent_messages=st.integers(1, 6),
-        pulls_per_round=st.integers(1, 3),
-    )
-    def test_flat_spec_reproduces_legacy_grid_expansion(
-        self,
-        scenarios,
-        fanouts,
-        replicates,
-        kill_fractions,
-        churn_rates,
-        concurrent_messages,
-        pulls_per_round,
-    ):
-        grid = SweepGrid(
-            scenarios=tuple(scenarios),
-            protocols=("ringcast",),
-            num_nodes=(40,),
-            fanouts=tuple(fanouts),
-            replicates=replicates,
-            num_messages=2,
-            kill_fractions=tuple(kill_fractions),
-            churn_rates=tuple(churn_rates),
-            concurrent_messages=concurrent_messages,
-            pulls_per_round=pulls_per_round,
-        )
-        assert grid.to_spec().expand() == grid.expand()
 
 
 # ----------------------------------------------------------------------
@@ -905,8 +866,6 @@ class TestSweepSpecCli:
                 "1",
                 "--messages",
                 "2",
-                "--kill-fractions",
-                "0.05",
                 "--dump-spec",
                 str(out),
             ]
@@ -917,29 +876,12 @@ class TestSweepSpecCli:
             fanouts=(2,),
             replicates=1,
             num_messages=2,
-            kill_fractions=(0.05,),
             seed=11,
         )
         assert SweepSpec.load(out).fingerprint() == expected.fingerprint()
 
-    def test_legacy_flags_print_deprecation_note(
-        self, capsys, tmp_path
-    ):
-        main(
-            [
-                "sweep",
-                "--kill-fractions",
-                "0.1",
-                "--dump-spec",
-                str(tmp_path / "s.json"),
-            ]
-        )
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "--kill-fraction" in err
-
     def test_spec_conflicts_with_grid_flags(self, tmp_path):
-        path = SMALL_GRID.to_spec().save(tmp_path / "spec.json")
+        path = SMALL_GRID.save(tmp_path / "spec.json")
         with pytest.raises(ConfigurationError, match="--nodes"):
             main(
                 ["sweep", "--spec", str(path), "--nodes", "99"]
@@ -967,19 +909,37 @@ class TestSweepSpecCli:
                 ]
             )
 
-    def test_legacy_and_param_flags_conflict(self):
-        with pytest.raises(ConfigurationError, match="combined"):
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [
+            ("--kill-fractions", "0.1"),
+            ("--churn-rates", "0.02"),
+            # These two are prefixes of --concurrent-messages /
+            # --pulls-per-round: with argparse's default allow_abbrev
+            # they would silently parse as the per-schema flags.
+            ("--concurrent", "3"),
+            ("--pulls", "2"),
+        ],
+    )
+    def test_removed_flag_spellings_exit_2(
+        self, capsys, tmp_path, spelling, value
+    ):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "sweep",
                     "--scenarios",
-                    "catastrophic",
-                    "--kill-fraction",
-                    "0.1",
-                    "--kill-fractions",
-                    "0.2",
+                    "static,multi_message,pull_churn",
+                    spelling,
+                    value,
+                    "--dump-spec",
+                    str(out),
                 ]
             )
+        assert excinfo.value.code == 2
+        assert spelling in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spec_end_to_end_matches_legacy_bytes(
         self, capsys, tmp_path
