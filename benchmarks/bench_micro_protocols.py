@@ -44,6 +44,13 @@ def test_micro_gossip_cycle(benchmark, warm_ringcast):
     benchmark(warm_ringcast.driver.run_cycle)
 
 
+def test_micro_warmup_kernel(benchmark, warm_ringcast):
+    """Ten cycles through ``warm_up``'s flat kernel — import, gossip,
+    export. Read it against ten times ``test_micro_gossip_cycle``, the
+    same cycles on the object path."""
+    benchmark(lambda: warm_up(warm_ringcast, 10))
+
+
 def test_micro_freeze_overlay(benchmark, warm_ringcast):
     """Snapshotting the full overlay state."""
     benchmark(lambda: freeze_overlay(warm_ringcast))

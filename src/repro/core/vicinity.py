@@ -155,7 +155,12 @@ class VicinityCore:
         return [d.copy() for d in chosen]
 
     def _merge(self, received: Sequence[NodeDescriptor]) -> None:
-        """View selection: keep the ``vic`` candidates closest to self."""
+        """View selection: keep the ``vic`` candidates closest to self.
+
+        Candidates from the CYCLON view enter as that view's live
+        descriptor objects, not copies, so a chosen one is shared by the
+        two views and aged by both (see :mod:`repro.core.views`).
+        """
         batches = [self.view.descriptors(), received]
         if self.cyclon is not None:
             batches.append(self.cyclon.view.descriptors())

@@ -7,10 +7,16 @@ protocol cores depend only on core data structures;
 A view holds at most ``capacity`` :class:`NodeDescriptor` entries, each
 pointing at another node and carrying an *age* (cycles since the entry
 was created at its subject) plus the subject's immutable profile.
-Descriptors are value objects copied on every exchange — two views
-never share a descriptor, so aging one view cannot corrupt another,
-mirroring the fact that on a real wire every message carries its own
-serialized copy.
+Descriptors are copied on every exchange, so views of *different*
+nodes never share a descriptor — on a real wire every message carries
+its own serialized copy. The two views of *one* node can: VICINITY's
+view selection (:meth:`repro.core.vicinity.VicinityCore._merge`) keeps
+candidates taken from the node's CYCLON view as the live objects, not
+copies, and such an entry is then aged by both protocols — twice per
+cycle — for as long as both views hold it. That holds in the simulator
+and in :mod:`repro.net` alike, every ringcast golden depends on it, and
+``tests/test_vicinity.py::TestSharedDescriptors`` pins it; see
+ROADMAP.md's carry-over notes before changing it.
 
 Invariants enforced here (and property-tested in
 ``tests/test_views.py``):

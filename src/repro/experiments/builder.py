@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.common.rng import RngRegistry
 from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.config import ExperimentConfig, OverlaySpec
@@ -22,6 +23,7 @@ from repro.membership.cyclon import Cyclon
 from repro.membership.ring_ids import OrderedRingProximity, RingProximity
 from repro.membership.vicinity import Vicinity
 from repro.sim.cycle import CycleDriver
+from repro.sim.flat_warmup import run_cycles
 from repro.sim.network import Network
 from repro.sim.node import Node
 
@@ -148,10 +150,21 @@ def build_population(
 
 
 def warm_up(population: Population, cycles: Optional[int] = None) -> None:
-    """Let the overlay self-organise for ``cycles`` gossip cycles."""
-    population.driver.run(
-        population.config.warmup_cycles if cycles is None else cycles
-    )
+    """Let the overlay self-organise for ``cycles`` gossip cycles.
+
+    A churn-free, hook-free population of stock CYCLON (+ ring
+    VICINITY) nodes is replayed on flat state
+    (:mod:`repro.sim.flat_warmup`, bit-identical and faster); anything
+    else runs ``driver.run``. ``0`` cycles is a no-op.
+    """
+    if cycles is None:
+        cycles = population.config.warmup_cycles
+    if cycles < 0:
+        raise ConfigurationError(f"cycles must be >= 0, got {cycles}")
+    if cycles == 0:
+        return
+    if not run_cycles(population.driver, cycles):
+        population.driver.run(cycles)
 
 
 def freeze_overlay(population: Population) -> OverlaySnapshot:

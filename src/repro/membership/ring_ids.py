@@ -19,7 +19,7 @@ Two proximity flavours are provided:
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.membership.views import NodeDescriptor
@@ -30,6 +30,7 @@ __all__ = [
     "RingProximity",
     "circular_distance",
     "clockwise_distance",
+    "closest_indices",
 ]
 
 
@@ -52,6 +53,31 @@ def circular_distance(a: int, b: int, space: int = RING_ID_SPACE) -> int:
     """
     forward = (b - a) % space
     return min(forward, space - forward)
+
+
+def closest_indices(
+    keys: Iterable[int], ref: int, count: int, space: int = RING_ID_SPACE
+) -> List[int]:
+    """Positions of the ``count`` keys circularly closest to ``ref``.
+
+    Closest first; equal distances keep their order in ``keys`` (a
+    stable sort), which is the tie rule every RINGCAST overlay and
+    golden depends on. This is the one place it lives:
+    :meth:`RingProximity.select` wraps it for descriptors and the flat
+    warm-up kernel (:mod:`repro.sim.flat_warmup`) calls it on bare keys.
+
+    >>> closest_indices([3, 15, 1, 8], ref=0, count=3, space=16)
+    [1, 2, 0]
+    """
+    if count <= 0:
+        return []
+    half = space // 2
+    # min(forward, space - forward), one modulo per key.
+    dist = [
+        ahead if (ahead := (key - ref) % space) <= half else space - ahead
+        for key in keys
+    ]
+    return sorted(range(len(dist)), key=dist.__getitem__)[:count]
 
 
 class RingProximity:
@@ -88,22 +114,14 @@ class RingProximity:
         own profile it keeps the best view; applied to a gossip
         partner's profile it picks the most useful entries to ship.
         """
-        ref = self.key(reference)
-        space = self.space
         idx = self.ring_index
-
-        def distance(descriptor: NodeDescriptor) -> int:
-            # One ring-ID lookup per candidate (the selection runs for
-            # every node on every warm-up cycle; the obvious
-            # min(cw, ccw) form reads the profile twice).
-            forward = (descriptor.profile.ring_ids[idx] - ref) % space
-            backward = space - forward
-            return forward if forward <= backward else backward
-
-        # O(n log count) partial selection; ties break in candidate
-        # order exactly like the full stable sort it replaces (pinned
-        # by the overlay-equivalence tests).
-        return heapq.nsmallest(count, candidates, key=distance)
+        chosen = closest_indices(
+            [descriptor.profile.ring_ids[idx] for descriptor in candidates],
+            self.key(reference),
+            count,
+            self.space,
+        )
+        return [candidates[i] for i in chosen]
 
     def ring_neighbors(
         self,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.common.rng import RngRegistry
 from repro.experiments.builder import (
@@ -22,6 +23,10 @@ from repro.experiments.config import ExperimentConfig, OverlaySpec
 
 TINY_NODES = 150
 TINY_WARMUP = 60
+
+# ``--hypothesis-profile=deep``: a larger example budget for property
+# tests that take theirs from the active profile (CI's warmup-kernel job).
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 def build_snapshot(

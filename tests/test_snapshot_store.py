@@ -16,7 +16,8 @@ Pins the PR's load-bearing contracts:
 * **Hardening** — truncated, wrong-shape, integrity-violated or
   mismatched store files are misses that rebuild, never crashes or
   silently wrong overlays.
-* **Hot-path equivalence** — the heapq-based proximity selection
+* **Hot-path equivalence** — today's proximity selection (one
+  key-indexed sort for the numeric ring, heapq for the ordered one)
   produces byte-identical views and overlays to the seed code's full
   stable sorts, ties included.
 * **Grid overlay reuse** — ``overlay_reuse="grid"`` builds one overlay
@@ -669,7 +670,7 @@ class TestGridOverlayReuse:
 
 
 # ----------------------------------------------------------------------
-# heapq selection == seed sorted selection (overlay equivalence)
+# today's selection == seed sorted selection (overlay equivalence)
 # ----------------------------------------------------------------------
 
 
@@ -742,7 +743,7 @@ class TestHeapSelectionEquivalence:
 
         rng = random.Random(31)
         # A tiny key space forces heavy distance ties — the regime
-        # where a heap that broke stability would diverge.
+        # where a selection that broke stability would diverge.
         proximity = RingProximity(ring_index=0, space=16)
         for _ in range(500):
             candidates = self._descriptors(rng, rng.randrange(0, 24), 16)
@@ -778,9 +779,13 @@ class TestHeapSelectionEquivalence:
     def test_full_overlay_identical_to_sorted_seed_build(
         self, kind, monkeypatch
     ):
-        """AC: heapq-based selection produces identical overlays to the
-        sorted-based seed code — pinned by rebuilding a whole overlay
-        with the reference sorts patched in."""
+        """AC: today's selection (``closest_indices`` for the numeric
+        ring, heapq for the ordered one) produces identical overlays to
+        the sorted-based seed code — pinned by rebuilding a whole
+        overlay with the reference sorts patched in. The first ringcast
+        build runs the flat warm-up kernel; the patched
+        ``RingProximity.select`` sends the second down the object path,
+        so this also compares the two."""
         from repro.membership import ring_ids
 
         fast = build_snapshot(kind, num_nodes=60, warmup=25)

@@ -226,3 +226,60 @@ class TestExchangeMechanics:
         succ_profile = network.node(succ).profile
         payload = vicinity._entries_for(succ_profile, exclude_id=succ)
         assert any(d.node_id == node.node_id for d in payload)
+
+
+def shared_entries(node):
+    """VICINITY entries that *are* the CYCLON view's descriptor object."""
+    cyclon_view = node.protocol("cyclon").view
+    return [
+        descriptor
+        for descriptor in node.protocol("vicinity").view.descriptors()
+        if cyclon_view.get(descriptor.node_id) is descriptor
+    ]
+
+
+class TestSharedDescriptors:
+    """Characterisation, not endorsement: view selection keeps the CYCLON
+    view's *live* descriptors, so a node's two views can hold one object
+    and that entry ages twice per cycle. Every ringcast golden and the
+    benchmark's pinned digests depend on it; the flat warm-up kernel
+    replays it. A fix must change these tests on purpose."""
+
+    def test_view_selection_keeps_the_cyclon_object(self, rng):
+        _network, nodes = build_stack(rng, count=3)
+        spoke = nodes[1]  # star bootstrap: its CYCLON view holds the hub
+        hub = spoke.protocol("cyclon").view.get(nodes[0].node_id)
+        assert hub is not None
+        spoke.protocol("vicinity").core._merge([])
+        assert spoke.protocol("vicinity").view.get(hub.node_id) is hub
+
+    def test_shared_entry_ages_twice_per_cycle(self, rng):
+        network, _nodes = build_stack(rng, count=60)
+        CycleDriver(network, rng).run(30)
+        sharing = [n for n in network.alive_nodes() if shared_entries(n)]
+        assert sharing, "warm-up no longer shares descriptors across views"
+        node = sharing[0]
+        shared = shared_entries(node)
+        vicinity_view = node.protocol("vicinity").view
+        own = [d for d in vicinity_view.descriptors() if d not in shared]
+        before = {id(d): d.age for d in shared + own}
+        # What the two execute_cycle calls of one cycle do first.
+        node.protocol("cyclon").core.begin_cycle()
+        node.protocol("vicinity").core.begin_cycle()
+        assert all(d.age == before[id(d)] + 2 for d in shared)
+        assert all(d.age == before[id(d)] + 1 for d in own)
+
+    def test_shipped_entries_are_copies(self, rng):
+        network, _nodes = build_stack(rng, count=40)
+        CycleDriver(network, rng).run(20)
+        held = {
+            id(d)
+            for n in network.alive_nodes()
+            for name in ("cyclon", "vicinity")
+            for d in n.protocol(name).view.descriptors()
+        }
+        node, other = network.alive_nodes()[:2]
+        payload = node.protocol("vicinity")._entries_for(
+            other.profile, exclude_id=other.node_id
+        )
+        assert payload and not any(id(d) in held for d in payload)
