@@ -1,20 +1,22 @@
 """Vectorized hop-synchronous dissemination over an :class:`ArrayOverlay`.
 
-One ``while`` iteration advances the *entire* hop frontier — across a
-whole batch of messages at once in fast mode: target selection
+In fast mode one ``while`` iteration advances the *entire* hop frontier
+across a whole batch of messages at once: target selection
 produces a flat delivery array (candidate universe indices plus
 parallel message/sender indices, in a deterministic delivery order),
 and the delivery phase classifies it with array reductions — dead
 drops, redundant duplicates, and first-occurrence virgin deliveries
-via ``np.unique`` over ``message * universe + target`` keys.
+via a position echo over ``message * universe + target`` keys.
 
 Target selection dispatches on the RNG type:
 
-* ``random.Random`` → **compat mode**: per-node pools are built over
-  universe indices and sampled with ``rng.sample``, consuming exactly
-  the draw sequence of the object policies (``Random.sample`` selects
-  *positions*, never values, so index pools replay identically).
-  Output is bit-identical to the object core.
+* ``random.Random`` → **compat mode**, the array data structure's
+  reference: the overlay is turned back into a snapshot and handed to
+  the object core's one forwarding loop
+  (:func:`repro.dissemination.executor.disseminate`), so the draw
+  sequence and the output are bit-identical to the object core on the
+  snapshot the overlay was built from — which is what pins
+  ``from_snapshot`` / ``to_snapshot`` and the codec.
 * ``numpy.random.Generator`` → **fast mode**: whole-frontier row
   matrices, sender/duplicate masking by column compares, and uniform
   position draws with duplicate-only rejection. Statistically
@@ -32,7 +34,10 @@ import numpy as np
 from repro.arraysim.overlay import ArrayOverlay
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngRegistry, child_seed
-from repro.dissemination.executor import DisseminationResult
+from repro.dissemination.executor import (
+    DisseminationResult,
+    disseminate as _object_disseminate,
+)
 from repro.dissemination.policies import (
     FloodingPolicy,
     RandCastPolicy,
@@ -112,8 +117,10 @@ def disseminate_many(
 
     In fast mode all messages share each hop's batched selection and
     delivery, which is where the large-N throughput comes from; compat
-    mode runs them sequentially so the ``random.Random`` draw order
-    matches the object core message by message.
+    mode hands them one by one to the object core's
+    :func:`~repro.dissemination.executor.disseminate` on
+    ``overlay.to_snapshot()``, so the ``random.Random`` draw order
+    matches it message by message.
     """
     if not isinstance(overlay, ArrayOverlay):
         overlay = ArrayOverlay.from_snapshot(overlay)
@@ -132,125 +139,14 @@ def disseminate_many(
             raise SimulationError(f"origin {origin} is not alive")
         origin_idx[i] = idx
     if isinstance(rng, random.Random):
+        snapshot = overlay.to_snapshot()
         return [
-            _run_compat(overlay, mode, fanout, int(idx), rng, collect_load)
-            for idx in origin_idx
+            _object_disseminate(
+                snapshot, policy, fanout, origin, rng, collect_load
+            )
+            for origin in origins
         ]
     return _run_fast(overlay, mode, fanout, origin_idx, rng, collect_load)
-
-
-# ----------------------------------------------------------------------
-# compat mode (random.Random replay, one message at a time)
-# ----------------------------------------------------------------------
-
-
-def _run_compat(
-    overlay: ArrayOverlay,
-    mode: str,
-    fanout: int,
-    origin_idx: int,
-    rng: random.Random,
-    collect_load: bool,
-) -> DisseminationResult:
-    n = overlay.universe_size
-    notified = np.zeros(n, dtype=bool)
-    notified[origin_idx] = True
-    sent = np.zeros(n, dtype=np.int64)
-    received = np.zeros(n, dtype=np.int64)
-    frontier: List[Tuple[int, int]] = [(origin_idx, -1)]
-    per_hop_new = [1]
-    msgs_virgin = 0
-    msgs_redundant = 0
-    msgs_to_dead = 0
-
-    r_indptr = overlay.r_indptr
-    r_targets = overlay.r_targets
-    d_indptr = overlay.d_indptr
-    d_targets = overlay.d_targets
-    if mode == "flooding":
-        out_indptr, out_targets = overlay.out_csr()
-    alive = overlay.alive
-
-    while frontier:
-        cand: List[int] = []
-        senders: List[int] = []
-        for node, sender in frontier:
-            if mode == "flooding":
-                row = out_targets[
-                    out_indptr[node]:out_indptr[node + 1]
-                ].tolist()
-                sel = [x for x in row if x != sender]
-            elif mode == "randcast":
-                row = r_targets[
-                    r_indptr[node]:r_indptr[node + 1]
-                ].tolist()
-                pool = [x for x in row if x != sender]
-                if fanout >= len(pool):
-                    sel = pool
-                else:
-                    sel = rng.sample(pool, fanout)
-            else:  # ringcast
-                drow = d_targets[
-                    d_indptr[node]:d_indptr[node + 1]
-                ].tolist()
-                sel = []
-                for link in drow:
-                    if link != sender and link not in sel:
-                        sel.append(link)
-                budget = fanout - len(sel)
-                if budget > 0:
-                    chosen = set(sel)
-                    rrow = r_targets[
-                        r_indptr[node]:r_indptr[node + 1]
-                    ].tolist()
-                    pool = [
-                        x for x in rrow if x != sender and x not in chosen
-                    ]
-                    if budget >= len(pool):
-                        sel.extend(pool)
-                    else:
-                        sel.extend(rng.sample(pool, budget))
-            cand.extend(sel)
-            senders.extend([node] * len(sel))
-            if collect_load:
-                sent[node] += len(sel)
-        cand_arr = np.asarray(cand, dtype=np.int64)
-        senders_arr = np.asarray(senders, dtype=np.int64)
-
-        alive_mask = alive[cand_arr]
-        msgs_to_dead += int(cand_arr.size - alive_mask.sum())
-        alive_cand = cand_arr[alive_mask]
-        alive_senders = senders_arr[alive_mask]
-        if collect_load and alive_cand.size:
-            received += np.bincount(alive_cand, minlength=n)
-        fresh_mask = ~notified[alive_cand]
-        fresh_cand = alive_cand[fresh_mask]
-        fresh_senders = alive_senders[fresh_mask]
-        _, first = np.unique(fresh_cand, return_index=True)
-        order = np.sort(first)
-        new_nodes = fresh_cand[order]
-        msgs_virgin += int(new_nodes.size)
-        msgs_redundant += int(alive_cand.size) - int(new_nodes.size)
-        notified[new_nodes] = True
-        frontier = list(
-            zip(new_nodes.tolist(), fresh_senders[order].tolist())
-        )
-        if frontier:
-            per_hop_new.append(len(frontier))
-
-    return _build_result(
-        overlay,
-        fanout=fanout,
-        origin=int(overlay.ids[origin_idx]),
-        notified=notified,
-        per_hop_new=per_hop_new,
-        msgs_virgin=msgs_virgin,
-        msgs_redundant=msgs_redundant,
-        msgs_to_dead=msgs_to_dead,
-        sent=sent,
-        received=received,
-        collect_load=collect_load,
-    )
 
 
 # ----------------------------------------------------------------------

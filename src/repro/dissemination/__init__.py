@@ -2,8 +2,8 @@
 
 The generic push algorithm (paper Fig. 1a) — forward a message on first
 receipt, never back to its sender, ignore duplicates — is implemented
-once in the executors; protocols differ only in *gossip target
-selection*:
+once, in :mod:`repro.dissemination.executor`; protocols differ only in
+*gossip target selection*:
 
 * :class:`FloodingPolicy` — all outgoing links (deterministic
   dissemination, Fig. 1b), run over the static overlays of
@@ -15,20 +15,23 @@ selection*:
   drives the multi-ring and Harary extensions, whose snapshots simply
   carry more d-links.
 
-Two executors run any policy over a frozen
-:class:`~repro.dissemination.snapshot.OverlaySnapshot`:
+One forwarding loop runs any policy under three schedules, each an entry
+point returning the same :class:`DisseminationResult`:
 :func:`~repro.dissemination.executor.disseminate` counts discrete hops
-(the paper's model) and
+over a frozen :class:`~repro.dissemination.snapshot.OverlaySnapshot`
+(the paper's model);
 :func:`~repro.dissemination.event_executor.disseminate_event_driven`
-delivers through the event engine under a latency model (used to verify
-the paper's latency-independence claim).
+delivers in virtual-time order under a latency model, of which hop
+counting is the unit-latency case; and
+:func:`~repro.dissemination.live.disseminate_live` counts hops while
+the overlay keeps gossiping in between (the last two verify the paper's
+§7.1 claim that forwarding time does not matter). The array core's
+``random.Random`` mode (:mod:`repro.arraysim`) is the same loop reading
+the array overlay's index rows.
 """
 
 from repro.dissemination.executor import DisseminationResult, disseminate
-from repro.dissemination.event_executor import (
-    EventDisseminationResult,
-    disseminate_event_driven,
-)
+from repro.dissemination.event_executor import disseminate_event_driven
 from repro.dissemination.live import disseminate_live
 from repro.dissemination.message import Message
 from repro.dissemination.policies import (
@@ -39,14 +42,11 @@ from repro.dissemination.policies import (
     policy_for_snapshot,
 )
 from repro.dissemination.snapshot import OverlaySnapshot
-from repro.dissemination.store import MessageStore
 
 __all__ = [
     "DisseminationResult",
-    "EventDisseminationResult",
     "FloodingPolicy",
     "Message",
-    "MessageStore",
     "OverlaySnapshot",
     "RandCastPolicy",
     "RingCastPolicy",

@@ -3,69 +3,37 @@
 The paper argues (§7) that its hop-synchronous model is harmless:
 varying message forwarding time "from zero to several times the
 gossiping period" had "no effect whatsoever on the macroscopic behavior
-of disseminations". This executor reproduces that experiment: the same
-target policies run over the same frozen snapshot, but each delivery is
-scheduled through the discrete-event engine with a per-message latency
-sample. Temporal interleavings change; the set of reachable nodes, for
-deterministic policies, cannot.
+of disseminations". This driver reproduces that experiment: the same
+forwarding loop runs the same target policies over the same frozen
+snapshot, but under a *timed* schedule — each send arrives after a
+per-message latency sample, in ``(time, insertion)`` order. Temporal
+interleavings change; the set of reachable nodes, for deterministic
+policies, cannot. With unit latency the schedule degenerates to hop
+counting and the result equals the hop-synchronous one field for field.
 
 The latency ablation bench (`bench_ablation_latency`) compares this
-executor against the hop-synchronous one across latency models.
+driver against the hop-synchronous one across latency models.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+import itertools
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.dissemination.executor import (
+    DisseminationResult,
+    _Send,
+    _forward_rounds,
+)
 from repro.dissemination.policies import TargetPolicy
 from repro.dissemination.snapshot import OverlaySnapshot
-from repro.sim.engine import EventEngine
 from repro.sim.latency import ConstantLatency, LatencyModel
 
-__all__ = ["EventDisseminationResult", "disseminate_event_driven"]
-
-
-@dataclass(frozen=True)
-class EventDisseminationResult:
-    """Outcome of one event-driven dissemination.
-
-    Mirrors :class:`~repro.dissemination.executor.DisseminationResult`
-    where the quantities coincide, and adds wall-clock–style timing.
-    """
-
-    origin: int
-    fanout: int
-    population: int
-    notified: int
-    msgs_virgin: int
-    msgs_redundant: int
-    msgs_to_dead: int
-    missed_ids: Tuple[int, ...]
-    completion_time: float
-    delivery_times: Dict[int, float]
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of the alive population reached."""
-        return self.notified / self.population
-
-    @property
-    def miss_ratio(self) -> float:
-        """``1 - hit_ratio``."""
-        return 1.0 - self.hit_ratio
-
-    @property
-    def complete(self) -> bool:
-        """``True`` iff every alive node was reached."""
-        return self.notified == self.population
-
-    @property
-    def total_messages(self) -> int:
-        """Every point-to-point send, including losses to dead nodes."""
-        return self.msgs_virgin + self.msgs_redundant + self.msgs_to_dead
+__all__ = ["disseminate_event_driven"]
 
 
 def disseminate_event_driven(
@@ -76,7 +44,7 @@ def disseminate_event_driven(
     rng: random.Random,
     latency: Optional[LatencyModel] = None,
     forward_delay: float = 0.0,
-) -> EventDisseminationResult:
+) -> DisseminationResult:
     """Disseminate one message with per-delivery latency.
 
     Args:
@@ -89,6 +57,17 @@ def disseminate_event_driven(
             paper's equal-latency assumption).
         forward_delay: Processing delay before a node forwards a message
             it just received for the first time.
+
+    The result's ``delivery_times`` hold each first receipt's virtual
+    time; ``hops`` and ``per_hop_new`` count forwarding depth (a node is
+    one deeper than the sender of the copy it received first).
+
+    Raises:
+        ConfigurationError: For a non-positive fanout or a negative
+            ``forward_delay``.
+        SimulationError: When ``origin`` is not alive, or a send's
+            delay (``forward_delay`` + latency sample) is negative or
+            NaN.
     """
     if fanout < 1:
         raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
@@ -100,49 +79,54 @@ def disseminate_event_driven(
         )
     model = latency if latency is not None else ConstantLatency(1.0)
 
-    engine = EventEngine()
-    alive = snapshot.alive_set
-    delivery_times: Dict[int, float] = {}
-    counters = {"virgin": 0, "redundant": 0, "dead": 0}
+    in_flight: List[Tuple[float, int, int, int]] = []
+    insertion = itertools.count()
+    arrival_times: List[float] = []
 
-    def forward(node_id: int, sender_id: Optional[int]) -> None:
-        targets = policy.select_targets(
-            snapshot, node_id, sender_id, fanout, rng
-        )
-        for target in targets:
-            delay = forward_delay + model.sample(node_id, target, rng)
-            engine.schedule_in(
-                delay, lambda t=target, s=node_id: deliver(t, s)
+    def earliest_arrival(sends: List[_Send]) -> List[_Send]:
+        """The timed schedule: one arrival per round, earliest first.
+
+        Rounds of one keep the stream's draw order — a receiver's
+        target draws, then its sends' latency draws — whatever ties the
+        latency model produces.
+        """
+        now = arrival_times[-1] if arrival_times else 0.0
+        for target, sender in sends:
+            delay = forward_delay + model.sample(sender, target, rng)
+            if not delay >= 0:
+                raise SimulationError(f"negative delay: {delay}")
+            heapq.heappush(
+                in_flight, (now + delay, next(insertion), target, sender)
             )
+        if not in_flight:
+            return []
+        time, _, target, sender = heapq.heappop(in_flight)
+        arrival_times.append(time)
+        return [(target, sender)]
 
-    def deliver(target: int, sender: int) -> None:
-        if target not in alive:
-            counters["dead"] += 1
-            return
-        if target in delivery_times:
-            counters["redundant"] += 1
-            return
-        delivery_times[target] = engine.now
-        counters["virgin"] += 1
-        forward(target, sender)
-
-    delivery_times[origin] = 0.0
-    forward(origin, None)
-    engine.run()
-
-    missed = tuple(
-        i for i in snapshot.alive_ids if i not in delivery_times
+    result, rounds = _forward_rounds(
+        lambda holders: (snapshot, holders),
+        earliest_arrival,
+        lambda: snapshot.alive_ids,
+        policy,
+        fanout,
+        origin,
+        rng,
     )
-    completion = max(delivery_times.values()) if delivery_times else 0.0
-    return EventDisseminationResult(
-        origin=origin,
-        fanout=fanout,
-        population=snapshot.population,
-        notified=len(delivery_times),
-        msgs_virgin=counters["virgin"],
-        msgs_redundant=counters["redundant"],
-        msgs_to_dead=counters["dead"],
-        missed_ids=missed,
-        completion_time=completion,
+
+    delivery_times: Dict[int, float] = {origin: 0.0}
+    depth = {origin: 0}
+    new_per_depth = [1]
+    for time, new in zip(arrival_times, rounds):
+        for node_id, sender_id in new:
+            delivery_times[node_id] = time
+            hop = depth[node_id] = depth[sender_id] + 1
+            if hop == len(new_per_depth):
+                new_per_depth.append(0)
+            new_per_depth[hop] += 1
+    return dataclasses.replace(
+        result,
+        hops=len(new_per_depth) - 1,
+        per_hop_new=tuple(new_per_depth),
         delivery_times=delivery_times,
     )

@@ -1,25 +1,38 @@
-"""Hop-synchronous dissemination — the paper's evaluation model (§7).
+"""The one forwarding loop — the paper's evaluation model (§7).
 
 "The generation of a message is marked hop 0. At hop 1, the message
 reaches F neighbors of the origin node. At hop 2, it further reaches
-the neighbors' neighbors, and so on." Every message sent at hop h is
-delivered at hop h+1; first-time receivers forward according to the
-target policy; duplicates and deliveries to dead nodes are counted but
-go nowhere.
+the neighbors' neighbors, and so on." First-time receivers forward
+according to the target policy; duplicates and deliveries to dead nodes
+are counted but go nowhere (Fig. 1a).
 
-The executor produces a :class:`DisseminationResult` carrying exactly
-the quantities the paper's figures plot: hit/miss ratio and
-completeness (Figs. 6, 9, 11), the per-hop not-yet-reached series
-(Figs. 7, 10), virgin vs. redundant message counts (Fig. 8), the missed
-nodes for lifetime analysis (Fig. 13), and optional per-node load
-(the §2 load-distribution criterion).
+That receive / dedup / count / forward step is written once, in
+:func:`_forward_rounds`, and every simulator driver is an entry point
+over it that differs in two seams only:
+
+* the *schedule* decides which of the messages in flight arrive next.
+  :func:`disseminate` counts hops — everything sent in one round
+  arrives together in the next — which is the unit-latency case of the
+  timed schedule of
+  :func:`~repro.dissemination.event_executor.disseminate_event_driven`
+  (§7.1: varying the forwarding time had "no effect whatsoever");
+* the *overlay provider* decides what a round reads: the frozen
+  snapshot here, or the still-gossiping population of
+  :func:`~repro.dissemination.live.disseminate_live`.
+
+A :class:`DisseminationResult` carries exactly the quantities the
+paper's figures plot: hit/miss ratio and completeness (Figs. 6, 9, 11),
+the per-hop not-yet-reached series (Figs. 7, 10), virgin vs. redundant
+message counts (Fig. 8), the missed nodes for lifetime analysis
+(Fig. 13), and optional per-node load (the §2 load-distribution
+criterion).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.dissemination.policies import TargetPolicy
@@ -47,6 +60,9 @@ class DisseminationResult:
         missed_ids: Alive nodes the message never reached.
         sent_per_node / received_per_node: Per-node load, populated only
             when the executor ran with ``collect_load=True``.
+        delivery_times: Virtual time of each node's first receipt (the
+            origin at 0.0), populated only by the event-driven driver;
+            ``hops`` and ``per_hop_new`` then count forwarding depth.
     """
 
     origin: int
@@ -61,6 +77,7 @@ class DisseminationResult:
     missed_ids: Tuple[int, ...]
     sent_per_node: Dict[int, int] = field(default_factory=dict)
     received_per_node: Dict[int, int] = field(default_factory=dict)
+    delivery_times: Dict[int, float] = field(default_factory=dict)
 
     @property
     def hit_ratio(self) -> float:
@@ -82,6 +99,15 @@ class DisseminationResult:
         """Every point-to-point send, including those lost to dead nodes."""
         return self.msgs_virgin + self.msgs_redundant + self.msgs_to_dead
 
+    @property
+    def completion_time(self) -> float:
+        """Virtual time of the last first-time delivery.
+
+        Without ``delivery_times`` the run counted hops, which is unit
+        latency: the last delivery happened at time ``hops``.
+        """
+        return max(self.delivery_times.values(), default=float(self.hops))
+
     def not_reached_series(self) -> List[float]:
         """Percent of nodes not yet reached after each hop (Fig. 7 axes).
 
@@ -94,6 +120,105 @@ class DisseminationResult:
             remaining -= new
             series.append(100.0 * remaining / self.population)
         return series
+
+
+#: A node holding a fresh copy, and who sent it (``None`` at the origin).
+_Holder = Tuple[int, Optional[int]]
+#: One message in flight: ``(target, sender)``.
+_Send = Tuple[int, int]
+
+
+def _same_round(sends: List[_Send]) -> List[_Send]:
+    """The hop schedule: everything sent this round arrives together."""
+    return sends
+
+
+def _forward_rounds(
+    overlay: Callable[[List[_Holder]], Tuple[OverlaySnapshot, List[_Holder]]],
+    schedule: Callable[[List[_Send]], List[_Send]],
+    population_ids: Callable[[], Sequence[int]],
+    policy: TargetPolicy,
+    fanout: int,
+    origin: int,
+    rng: random.Random,
+    collect_load: bool = False,
+) -> Tuple[DisseminationResult, List[List[_Holder]]]:
+    """Fig. 1a for one message, under any schedule and overlay provider.
+
+    A round starts from the nodes holding a fresh copy. ``overlay``
+    maps them to the snapshot this round reads and the holders still
+    able to forward; each sends to its policy's targets; ``schedule``
+    takes those sends and returns the ones that arrive next (none ends
+    the run). Every arrival is lost to a dead node, dropped as a
+    duplicate, or a first receipt that makes its receiver a holder of
+    the next round. ``population_ids`` is asked for the hit-ratio
+    denominator once the flight is over.
+
+    Returns the result, its hops counted in rounds, and each round's
+    first receipts as ``(node, sender)`` in arrival order.
+    """
+    notified = {origin}
+    holders: List[_Holder] = [(origin, None)]
+    rounds: List[List[_Holder]] = []
+    msgs_virgin = 0
+    msgs_redundant = 0
+    msgs_to_dead = 0
+    sent_per_node: Dict[int, int] = {}
+    received_per_node: Dict[int, int] = {}
+
+    while True:
+        sends: List[_Send] = []
+        if holders:
+            snapshot, holders = overlay(holders)
+            alive = snapshot.alive_set
+            for node_id, sender_id in holders:
+                targets = policy.select_targets(
+                    snapshot, node_id, sender_id, fanout, rng
+                )
+                for target in targets:
+                    sends.append((target, node_id))
+                if collect_load:
+                    sent_per_node[node_id] = (
+                        sent_per_node.get(node_id, 0) + len(targets)
+                    )
+        arrivals = schedule(sends)
+        if not arrivals:
+            break
+        holders = []
+        for target, sender in arrivals:
+            if target not in alive:
+                msgs_to_dead += 1
+                continue
+            if collect_load:
+                received_per_node[target] = (
+                    received_per_node.get(target, 0) + 1
+                )
+            if target in notified:
+                msgs_redundant += 1
+                continue
+            notified.add(target)
+            msgs_virgin += 1
+            holders.append((target, sender))
+        rounds.append(holders)
+
+    population = population_ids()
+    missed = tuple(i for i in population if i not in notified)
+    per_hop_new = (1, *[len(new) for new in rounds if new])
+    result = DisseminationResult(
+        origin=origin,
+        fanout=fanout,
+        population=len(population),
+        notified=len(population) - len(missed),
+        hops=len(per_hop_new) - 1,
+        per_hop_new=per_hop_new,
+        msgs_virgin=msgs_virgin,
+        msgs_redundant=msgs_redundant,
+        msgs_to_dead=msgs_to_dead,
+        missed_ids=missed,
+        sent_per_node=sent_per_node,
+        received_per_node=received_per_node,
+    )
+    return result, rounds
 
 
 def disseminate(
@@ -123,60 +248,14 @@ def disseminate(
         raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
     if not snapshot.is_alive(origin):
         raise SimulationError(f"origin {origin} is not alive")
-
-    alive = snapshot.alive_set
-    notified = {origin}
-    frontier: List[Tuple[int, Optional[int]]] = [(origin, None)]
-    per_hop_new = [1]
-    msgs_virgin = 0
-    msgs_redundant = 0
-    msgs_to_dead = 0
-    sent_per_node: Dict[int, int] = {}
-    received_per_node: Dict[int, int] = {}
-
-    while frontier:
-        deliveries: List[Tuple[int, int]] = []
-        for node_id, sender_id in frontier:
-            targets = policy.select_targets(
-                snapshot, node_id, sender_id, fanout, rng
-            )
-            for target in targets:
-                deliveries.append((target, node_id))
-            if collect_load:
-                sent_per_node[node_id] = (
-                    sent_per_node.get(node_id, 0) + len(targets)
-                )
-        next_frontier: List[Tuple[int, Optional[int]]] = []
-        for target, sender in deliveries:
-            if target not in alive:
-                msgs_to_dead += 1
-                continue
-            if collect_load:
-                received_per_node[target] = (
-                    received_per_node.get(target, 0) + 1
-                )
-            if target in notified:
-                msgs_redundant += 1
-                continue
-            notified.add(target)
-            msgs_virgin += 1
-            next_frontier.append((target, sender))
-        frontier = next_frontier
-        if next_frontier:
-            per_hop_new.append(len(next_frontier))
-
-    missed = tuple(i for i in snapshot.alive_ids if i not in notified)
-    return DisseminationResult(
-        origin=origin,
-        fanout=fanout,
-        population=snapshot.population,
-        notified=len(notified),
-        hops=len(per_hop_new) - 1,
-        per_hop_new=tuple(per_hop_new),
-        msgs_virgin=msgs_virgin,
-        msgs_redundant=msgs_redundant,
-        msgs_to_dead=msgs_to_dead,
-        missed_ids=missed,
-        sent_per_node=sent_per_node,
-        received_per_node=received_per_node,
+    result, _ = _forward_rounds(
+        lambda holders: (snapshot, holders),
+        _same_round,
+        lambda: snapshot.alive_ids,
+        policy,
+        fanout,
+        origin,
+        rng,
+        collect_load,
     )
+    return result

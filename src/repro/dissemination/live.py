@@ -7,7 +7,9 @@ macroscopic behavior of disseminations" (§7.1). This module reproduces
 that experiment: the overlay keeps gossiping — ``cycles_per_hop``
 gossip cycles elapse per dissemination hop, i.e. the message forwarding
 time equals that many gossip periods — and every hop's forwarding
-decisions read the *current* views.
+decisions read the *current* views: the one forwarding loop under the
+hop schedule, with an overlay provider that gossips and re-freezes
+before each round.
 
 Used by ``bench_ablation_live_gossip`` to compare against the frozen
 executor; works under churn adapters too, in which case nodes may die
@@ -17,10 +19,15 @@ mid-dissemination.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.dissemination.executor import DisseminationResult
+from repro.dissemination.executor import (
+    DisseminationResult,
+    _Holder,
+    _forward_rounds,
+    _same_round,
+)
 from repro.dissemination.policies import TargetPolicy, policy_for_snapshot
 
 __all__ = ["disseminate_live"]
@@ -52,6 +59,13 @@ def disseminate_live(
     was generated *and* still alive when dissemination ended — nodes
     that die mid-flight are excluded, nodes that join mid-flight are
     not counted against the protocol.
+
+    Raises:
+        ConfigurationError: For a non-positive fanout or a negative
+            ``cycles_per_hop``.
+        SimulationError: When ``origin`` is not alive, or churn left no
+            node alive at both ends of the flight (an empty
+            denominator).
     """
     from repro.experiments.builder import freeze_overlay
 
@@ -64,58 +78,34 @@ def disseminate_live(
     network = population.network
     if not network.is_alive(origin):
         raise SimulationError(f"origin {origin} is not alive")
-
+    if policy is None:
+        policy = policy_for_snapshot(freeze_overlay(population))
     initial_alive = set(network.alive_ids())
-    notified = {origin}
-    frontier: List[Tuple[int, Optional[int]]] = [(origin, None)]
-    per_hop_new = [1]
-    msgs_virgin = 0
-    msgs_redundant = 0
-    msgs_to_dead = 0
 
-    while frontier:
+    def gossiping_overlay(holders: List[_Holder]):
         population.driver.run(cycles_per_hop)
         snapshot = freeze_overlay(population)
-        chosen_policy = (
-            policy if policy is not None else policy_for_snapshot(snapshot)
-        )
-        deliveries: List[Tuple[int, int]] = []
-        for node_id, sender_id in frontier:
-            if not snapshot.is_alive(node_id):
-                # The holder died before forwarding; its copy is lost.
-                continue
-            targets = chosen_policy.select_targets(
-                snapshot, node_id, sender_id, fanout, rng
-            )
-            deliveries.extend((target, node_id) for target in targets)
-        next_frontier: List[Tuple[int, Optional[int]]] = []
-        for target, sender in deliveries:
-            if not snapshot.is_alive(target):
-                msgs_to_dead += 1
-                continue
-            if target in notified:
-                msgs_redundant += 1
-                continue
-            notified.add(target)
-            msgs_virgin += 1
-            next_frontier.append((target, sender))
-        frontier = next_frontier
-        if next_frontier:
-            per_hop_new.append(len(next_frontier))
+        # A holder that died before forwarding loses its copy.
+        alive = snapshot.alive_set
+        return snapshot, [held for held in holders if held[0] in alive]
 
-    final_alive = set(network.alive_ids())
-    denominator = sorted(initial_alive & final_alive)
-    reached = [n for n in denominator if n in notified]
-    missed = tuple(n for n in denominator if n not in notified)
-    return DisseminationResult(
-        origin=origin,
-        fanout=fanout,
-        population=len(denominator),
-        notified=len(reached),
-        hops=len(per_hop_new) - 1,
-        per_hop_new=tuple(per_hop_new),
-        msgs_virgin=msgs_virgin,
-        msgs_redundant=msgs_redundant,
-        msgs_to_dead=msgs_to_dead,
-        missed_ids=missed,
+    def survivors() -> List[int]:
+        alive_throughout = initial_alive.intersection(network.alive_ids())
+        if not alive_throughout:
+            raise SimulationError(
+                "no node was alive both when the message was generated "
+                "and when dissemination ended; the hit ratio has no "
+                "denominator"
+            )
+        return sorted(alive_throughout)
+
+    result, _ = _forward_rounds(
+        gossiping_overlay,
+        _same_round,
+        survivors,
+        policy,
+        fanout,
+        origin,
+        rng,
     )
+    return result

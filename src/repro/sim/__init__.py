@@ -6,7 +6,7 @@ modes:
 
 * an **event-driven core** (:class:`repro.sim.engine.EventEngine`) that
   orders arbitrary timestamped events through a binary heap, used by the
-  latency-aware dissemination executor, and
+  asynchronous gossip driver, and
 * a **cycle driver** (:class:`repro.sim.cycle.CycleDriver`) that runs
   synchronous gossip cycles — every alive node initiates each of its
   protocols once per cycle, in freshly-shuffled order — which is exactly

@@ -6,9 +6,11 @@ order. The engine owns the clock; callbacks may schedule further events
 but must never fire in the past.
 
 The cycle driver (:mod:`repro.sim.cycle`) does *not* use this engine —
-gossip warm-up is synchronous for speed — but the latency-aware
-dissemination executor (:mod:`repro.dissemination.event_executor`) and
-several tests do.
+gossip warm-up is synchronous for speed — and neither does the
+latency-aware dissemination driver
+(:mod:`repro.dissemination.event_executor`), which keeps only this
+ordering rule over its messages in flight; the asynchronous gossip
+driver (:mod:`repro.sim.async_driver`) and several tests do.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class EventEngine:
 
     def schedule_in(self, delay: float, action: Callable[[], Any]) -> Event:
         """Schedule ``action`` after a non-negative ``delay``."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which is not < 0
             raise SimulationError(f"negative delay: {delay}")
         return self._queue.push(self.clock.now + delay, action)
 

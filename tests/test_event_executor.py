@@ -1,16 +1,30 @@
 """Tests for the event-driven executor and the latency-independence claim."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.dissemination.event_executor import disseminate_event_driven
 from repro.dissemination.executor import disseminate
-from repro.dissemination.policies import FloodingPolicy, RingCastPolicy
+from repro.dissemination.policies import (
+    FloodingPolicy,
+    RandCastPolicy,
+    RingCastPolicy,
+)
 from repro.dissemination.snapshot import OverlaySnapshot
 from repro.graphs.generators import balanced_tree, bidirectional_ring
-from repro.sim.latency import ConstantLatency, UniformLatency, ZeroLatency
+from repro.sim.latency import (
+    ConstantLatency,
+    LatencyModel,
+    UniformLatency,
+    ZeroLatency,
+)
+from tests.test_arraysim import random_snapshot
 
 
 class TestBasics:
@@ -48,6 +62,20 @@ class TestBasics:
                 0,
                 rng,
                 forward_delay=-1.0,
+            )
+
+    @pytest.mark.parametrize("delay", [float("nan"), -0.5])
+    def test_rejects_nan_and_negative_latency_samples(self, rng, delay):
+        class Broken(LatencyModel):
+            def sample(self, src, dst, rng):
+                return delay
+
+        snapshot = OverlaySnapshot.from_graph(
+            bidirectional_ring(list(range(6)))
+        )
+        with pytest.raises(SimulationError):
+            disseminate_event_driven(
+                snapshot, FloodingPolicy(), 1, 0, rng, Broken()
             )
 
     def test_delivery_times_recorded(self, rng):
@@ -97,20 +125,6 @@ class TestLatencyIndependence:
             )
             assert result.complete
 
-    def test_matches_hop_executor_totals_for_deterministic_policy(
-        self, rng
-    ):
-        snapshot = OverlaySnapshot.from_graph(
-            balanced_tree(list(range(31)), branching=2)
-        )
-        hop = disseminate(snapshot, FloodingPolicy(), 1, 0, rng)
-        event = disseminate_event_driven(
-            snapshot, FloodingPolicy(), 1, 0, rng, UniformLatency(0.1, 3.0)
-        )
-        assert hop.notified == event.notified
-        assert hop.total_messages == event.total_messages
-        assert hop.msgs_virgin == event.msgs_virgin
-
     def test_forward_delay_shifts_completion_time(self, rng):
         snapshot = OverlaySnapshot.from_graph(
             bidirectional_ring(list(range(10)))
@@ -158,6 +172,63 @@ class TestLatencyIndependence:
         )
         assert set(order_uniform) == set(order_constant)
         assert order_uniform != order_constant
+
+
+@st.composite
+def dissemination_cases(draw):
+    """(snapshot, policy, fanout, origin, seed) over adversarial
+    snapshots: sparse IDs, dead links, duplicates, killed nodes."""
+    seed = draw(st.integers(min_value=0, max_value=10**9))
+    rng = random.Random(seed)
+    snapshot = random_snapshot(rng, rng.randint(2, 40))
+    policy = draw(
+        st.sampled_from(
+            (FloodingPolicy(), RandCastPolicy(), RingCastPolicy())
+        )
+    )
+    fanout = draw(st.integers(min_value=1, max_value=5))
+    origin = draw(st.sampled_from(snapshot.alive_ids))
+    return snapshot, policy, fanout, origin, seed
+
+
+class TestUnitLatencyIsHopCounting:
+    """§7.1 as a property: the hop-synchronous model is the timed
+    schedule's unit-latency case, field for field."""
+
+    @given(case=dissemination_cases())
+    @example(
+        case=(
+            OverlaySnapshot.from_graph(
+                balanced_tree(list(range(31)), branching=2)
+            ),
+            FloodingPolicy(),
+            1,
+            0,
+            0,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_event_driven_equals_hop_executor(self, case):
+        snapshot, policy, fanout, origin, seed = case
+        hop = disseminate(
+            snapshot, policy, fanout, origin, random.Random(seed)
+        )
+        event = disseminate_event_driven(
+            snapshot,
+            policy,
+            fanout,
+            origin,
+            random.Random(seed),
+            ConstantLatency(1.0),
+        )
+        assert replace(event, delivery_times={}) == hop
+        assert event.completion_time == hop.completion_time == hop.hops
+        # A node first reached at hop h was delivered at time h.
+        assert len(event.delivery_times) == hop.notified
+        delivered_at = Counter(event.delivery_times.values())
+        assert [
+            delivered_at[float(h)] for h in range(hop.hops + 1)
+        ] == list(hop.per_hop_new)
 
 
 class TestFailures:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.rng import RngRegistry
 from repro.dissemination.live import disseminate_live
+from repro.experiments.builder import build_population, warm_up
+from repro.experiments.config import ExperimentConfig, OverlaySpec
 from repro.failures.churn import ArtificialChurn
 from tests.conftest import build_warm_population
 
@@ -82,3 +85,30 @@ class TestLiveDissemination:
         # The denominator only counts nodes alive at start and end.
         assert 0 < result.population <= 100
         assert result.hit_ratio > 0.8
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_survivor_of_the_flight_is_an_error(self, rng, seed):
+        # Churn replaces 90 % of the nodes per cycle, three cycles per
+        # hop: nobody alive at generation time is left at the end, so
+        # there is no denominator (this used to return population=0
+        # and raise ZeroDivisionError from hit_ratio).
+        config = ExperimentConfig(
+            num_nodes=12,
+            view_size=4,
+            shuffle_length=2,
+            vicinity_gossip_length=3,
+            warmup_cycles=20,
+        )
+        population = build_population(
+            config, OverlaySpec("ringcast"), RngRegistry(seed)
+        )
+        warm_up(population)
+        population.driver.churn = ArtificialChurn(
+            0.9, population.node_factory
+        )
+        origin = population.network.alive_ids()[0]
+        with pytest.raises(SimulationError, match="alive both"):
+            disseminate_live(
+                population, fanout=3, origin=origin, rng=rng,
+                cycles_per_hop=3,
+            )

@@ -363,43 +363,6 @@ def test_ring_neighbors_are_true_successor_predecessor(ring_ids, me):
 
 @SETTINGS
 @given(
-    message_count=st.integers(min_value=0, max_value=30),
-    capacity=st.integers(min_value=1, max_value=10),
-)
-def test_message_store_never_exceeds_capacity(message_count, capacity):
-    from repro.dissemination.message import Message
-    from repro.dissemination.store import MessageStore
-
-    store = MessageStore(capacity=capacity)
-    for i in range(message_count):
-        store.add(Message(origin=i))
-    assert store.size <= capacity
-    assert store.size == min(message_count, capacity)
-    assert store.evicted == max(0, message_count - capacity)
-    # The digest always reflects exactly the buffered messages.
-    assert len(store.digest()) == store.size
-
-
-@SETTINGS
-@given(
-    known=st.sets(st.integers(0, 50), max_size=20),
-    stored=st.integers(min_value=0, max_value=15),
-)
-def test_message_store_missing_given_disjoint(known, stored):
-    from repro.dissemination.message import Message
-    from repro.dissemination.store import MessageStore
-
-    store = MessageStore()
-    for i in range(stored):
-        store.add(Message(origin=i))
-    missing = store.missing_given(known)
-    missing_ids = {m.message_id for m in missing}
-    assert not (missing_ids & set(known))
-    assert missing_ids <= store.digest()
-
-
-@SETTINGS
-@given(
     n=st.integers(min_value=5, max_value=80),
     fraction_pct=st.integers(min_value=0, max_value=90),
     seed=st.integers(0, 999),

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -30,6 +30,15 @@ class TestTopLevelExports:
         assert not hasattr(
             repro.experiments.sweep_spec, "LEGACY_FLAT_DEFAULTS"
         )
+
+    def test_names_removed_in_3_0_0_are_gone(self):
+        import repro.dissemination
+
+        for name in ("EventDisseminationResult", "MessageStore"):
+            assert not hasattr(repro.dissemination, name)
+            assert name not in repro.dissemination.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.dissemination.store")
 
     @pytest.mark.parametrize(
         "module_name",

@@ -167,6 +167,10 @@ class TestEventEngine:
         with pytest.raises(SimulationError):
             EventEngine().schedule_in(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SimulationError):
+            EventEngine().schedule_in(float("nan"), lambda: None)
+
     def test_callbacks_can_schedule_more(self):
         engine = EventEngine()
         seen = []

@@ -1,4 +1,4 @@
-"""Tests for message stores and the periodic pull-dissemination protocol."""
+"""Tests for the periodic pull-dissemination protocol."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.dissemination.message import Message
-from repro.dissemination.store import MessageStore
 from repro.extensions.pull_protocol import PullDissemination
 from repro.membership.bootstrap import star_bootstrap
 from repro.membership.cyclon import Cyclon
@@ -14,67 +13,7 @@ from repro.sim.cycle import CycleDriver
 from repro.sim.network import Network
 
 
-class TestMessageStore:
-    def test_add_and_has(self):
-        store = MessageStore()
-        message = Message(origin=1)
-        assert store.add(message)
-        assert store.has(message.message_id)
-        assert message.message_id in store
-
-    def test_duplicate_add_returns_false(self):
-        store = MessageStore()
-        message = Message(origin=1)
-        store.add(message)
-        assert not store.add(message)
-        assert store.size == 1
-
-    def test_fifo_eviction(self):
-        store = MessageStore(capacity=2)
-        first, second, third = (Message(origin=i) for i in range(3))
-        store.add(first)
-        store.add(second)
-        store.add(third)
-        assert store.size == 2
-        assert not store.has(first.message_id)
-        assert store.has(third.message_id)
-        assert store.evicted == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigurationError):
-            MessageStore(capacity=0)
-
-    def test_digest(self):
-        store = MessageStore()
-        messages = [Message(origin=i) for i in range(3)]
-        for message in messages:
-            store.add(message)
-        assert store.digest() == frozenset(
-            m.message_id for m in messages
-        )
-
-    def test_missing_given(self):
-        store = MessageStore()
-        a, b, c = (Message(origin=i) for i in range(3))
-        for message in (a, b, c):
-            store.add(message)
-        missing = store.missing_given({a.message_id})
-        assert [m.message_id for m in missing] == [
-            b.message_id,
-            c.message_id,
-        ]
-
-    def test_messages_insertion_order(self):
-        store = MessageStore()
-        messages = [Message(origin=i) for i in range(4)]
-        for message in messages:
-            store.add(message)
-        assert store.messages() == messages
-
-
-def build_pull_network(
-    rng, count=60, pull_fanout=1, store_capacity=None, batch_limit=None
-):
+def build_pull_network(rng, count=60, pull_fanout=1):
     network = Network(rng)
     nodes = []
     for _ in range(count):
@@ -83,13 +22,7 @@ def build_pull_network(
         node.attach("cyclon", cyclon)
         node.attach(
             "pull",
-            PullDissemination(
-                node,
-                cyclon,
-                pull_fanout=pull_fanout,
-                store_capacity=store_capacity,
-                batch_limit=batch_limit,
-            ),
+            PullDissemination(node, cyclon, pull_fanout=pull_fanout),
         )
         nodes.append(node)
     star_bootstrap(nodes)
@@ -114,8 +47,11 @@ class TestPullDissemination:
         cyclon = Cyclon(node)
         with pytest.raises(ConfigurationError):
             PullDissemination(node, cyclon, pull_fanout=0)
-        with pytest.raises(ConfigurationError):
-            PullDissemination(node, cyclon, batch_limit=0)
+        # Removed in 3.0.0 with ``MessageStore``: the bounded digest
+        # and expiry land in ``DisseminationCore``, for sim and UDP.
+        for removed in ("store_capacity", "batch_limit"):
+            with pytest.raises(TypeError):
+                PullDissemination(node, cyclon, **{removed: 1})
 
     def test_message_spreads_to_everyone(self, rng):
         network, nodes, driver = build_pull_network(rng)
@@ -178,31 +114,6 @@ class TestPullDissemination:
         driver.run(50)
         for message in messages:
             assert coverage(network, message.message_id) == 1.0
-
-    def test_batch_limit_respected(self, rng):
-        network, nodes, driver = build_pull_network(rng, batch_limit=1)
-        for origin_node in nodes[:4]:
-            origin_node.protocol("pull").publish(
-                Message(origin=origin_node.node_id)
-            )
-        driver.run(1)
-        # No single poll can ship more than one message; the counters
-        # must reflect the cap.
-        for node in network.alive_nodes():
-            pull = node.protocol("pull")
-            if pull.polls_answered:
-                assert pull.messages_served <= pull.polls_answered * 1
-
-    def test_bounded_store_evicts_old_messages(self, rng):
-        network, nodes, driver = build_pull_network(
-            rng, store_capacity=2
-        )
-        pull = nodes[0].protocol("pull")
-        messages = [Message(origin=nodes[0].node_id) for _ in range(4)]
-        for message in messages:
-            pull.publish(message)
-        assert pull.store.size == 2
-        assert pull.store.evicted == 2
 
     def test_traffic_accounting(self, rng):
         network, nodes, driver = build_pull_network(rng)
