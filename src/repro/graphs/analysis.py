@@ -18,6 +18,7 @@ __all__ = [
     "is_strongly_connected",
     "reachable_from",
     "ring_agreement",
+    "ring_neighbor_sets",
     "sampled_average_path_length",
 ]
 
@@ -106,27 +107,35 @@ def sampled_average_path_length(
     return total / count if count else 0.0
 
 
+def ring_neighbor_sets(true_ring: Sequence[int]) -> Dict[int, Set[int]]:
+    """Each node's correct d-links on the ground-truth ring.
+
+    ``true_ring`` is the alive population sorted by sequence ID; node
+    ``i``'s correct neighbors are its predecessor and successor in that
+    circular order (one neighbor on a two-node ring, none alone).
+    """
+    n = len(true_ring)
+    expected: Dict[int, Set[int]] = {}
+    for i, node in enumerate(true_ring):
+        neighbors = {true_ring[(i + 1) % n], true_ring[(i - 1) % n]}
+        expected[node] = neighbors - {node}
+    return expected
+
+
 def ring_agreement(
     dlinks: Mapping[int, Sequence[int]], true_ring: Sequence[int]
 ) -> float:
     """Fraction of nodes whose d-links match the ground-truth ring.
 
-    ``true_ring`` is the alive population sorted by sequence ID; node
-    ``i``'s correct neighbors are its predecessor and successor in that
-    circular order. Returns 1.0 when the gossip-built ring is perfect.
+    Exact match against :func:`ring_neighbor_sets`. Returns 1.0 when
+    the gossip-built ring is perfect (or the population is empty).
     """
     n = len(true_ring)
     if n == 0:
         return 1.0
-    if n == 1:
-        only = true_ring[0]
-        return 1.0 if not dlinks.get(only, ()) else 0.0
-    position = {node: i for i, node in enumerate(true_ring)}
+    expected = ring_neighbor_sets(true_ring)
     correct = 0
     for node in true_ring:
-        i = position[node]
-        expected = {true_ring[(i + 1) % n], true_ring[(i - 1) % n]}
-        expected.discard(node)
-        if set(dlinks.get(node, ())) == expected:
+        if set(dlinks.get(node, ())) == expected[node]:
             correct += 1
     return correct / n

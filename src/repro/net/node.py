@@ -86,6 +86,10 @@ class NodeConfig:
     pull_period: float = 0.0
     join_retries: int = 10
     log_dir: Optional[Path] = None
+    # Append to the node's existing log and continue its message IDs
+    # after the last one logged there (a restarted incarnation). Needs
+    # ``log_dir``: a node logging to stdout has nothing to resume from
+    # and numbers its publishes from 1 again.
     log_append: bool = False
     run_for: Optional[float] = None
     seed: Optional[int] = None
@@ -110,6 +114,36 @@ class _PingProbe:
 
     attempts: int
     deadline: float
+
+
+def _last_publish_seq(path: Path, prefix: str) -> int:
+    """Highest sequence among the ``<prefix><seq>`` message IDs the
+    ``publish`` records of ``path`` carry (0: none).
+
+    Reads the log an earlier incarnation left behind; a missing file
+    and lines that do not parse (a kill mid-write) count for nothing.
+    """
+    last = 0
+    try:
+        handle = open(path, encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        return last
+    with handle:
+        for line in handle:
+            if '"publish"' not in line:
+                continue
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError):
+                continue
+            if not isinstance(record, dict) or record.get("event") != "publish":
+                continue
+            msg_id = record.get("msg_id")
+            if isinstance(msg_id, str) and msg_id.startswith(prefix):
+                seq = msg_id[len(prefix):]
+                if seq.isascii() and seq.isdigit() and len(seq) <= 18:
+                    last = max(last, int(seq))
+    return last
 
 
 class _NodeProtocol(asyncio.DatagramProtocol):
@@ -187,6 +221,7 @@ class GossipNode:
         self._probes: Dict[int, _PingProbe] = {}
         self._last_ping: Dict[int, float] = {}
         self._welcomed = False
+        self._msg_prefix = f"{self.node_id:012x}-"
         self._publish_seq = 0
         self._log_file = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -212,8 +247,13 @@ class GossipNode:
             self.config.log_dir.mkdir(parents=True, exist_ok=True)
             path = self.config.log_dir / f"node-{self.node_id:012x}.jsonl"
             # A restarted incarnation (fleet churn) appends, so one
-            # file carries the node's whole history for the analyzer.
-            mode = "a" if self.config.log_append else "w"
+            # file carries the node's whole history for the analyzer —
+            # and continues the message IDs where that history stops:
+            # peers drop a reused ID as a duplicate.
+            mode = "w"
+            if self.config.log_append:
+                mode = "a"
+                self._publish_seq = _last_publish_seq(path, self._msg_prefix)
             self._log_file = open(path, mode, encoding="utf-8")
         self.log(
             "start",
@@ -706,7 +746,7 @@ class GossipNode:
     def publish(self, payload: Any) -> str:
         """Originate a message; returns its ID."""
         self._publish_seq += 1
-        msg_id = f"{self.node_id:012x}-{self._publish_seq}"
+        msg_id = f"{self._msg_prefix}{self._publish_seq}"
         outgoing = self.dissemination.publish(
             msg_id,
             payload,

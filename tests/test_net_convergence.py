@@ -4,58 +4,17 @@ the VICINITY ring over time, reconstructed from the nodes' periodic
 plus the ``repro net-analyze --expect-converged-by`` CI gate.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.net.analyzer import ConvergenceReport, analyze_run, ring_convergence
-
-
-def ring_neighbors(node, ring):
-    index = ring.index(node)
-    return sorted({ring[(index + 1) % len(ring)], ring[(index - 1) % len(ring)]})
-
-
-def write_logs(log_dir: Path, records_by_node):
-    log_dir.mkdir(parents=True, exist_ok=True)
-    for node, records in records_by_node.items():
-        path = log_dir / f"node-{node:012x}.jsonl"
-        path.write_text(
-            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
-        )
+from tests.net_logs import converging_run, ring_neighbors, write_run
 
 
 def converging_cluster(log_dir: Path, nodes=(1, 2, 3, 4), regress=False):
-    """Four nodes that start at ts=0, hold a half-formed ring at ts=1,
-    and a perfect ring from ts=5 on (optionally broken again at ts=8)."""
-    ring = sorted(nodes)
-    records = {}
-    for node in nodes:
-        successor = ring[(ring.index(node) + 1) % len(ring)]
-        full = ring_neighbors(node, ring)
-        # Ring agreement is exact per node (successor AND predecessor),
-        # so at ts=1 half the cluster is already settled and half still
-        # only knows its successor: completeness lands strictly
-        # between 0 and 1.
-        early = full if node <= ring[1] else [successor]
-        node_records = [
-            {"event": "start", "node": node, "ts": 0.0, "ring_id": node,
-             "protocol": "ringcast", "fanout": 3},
-            {"event": "views", "node": node, "ts": 1.0,
-             "dlinks": early, "rlinks": list(full)},
-            {"event": "views", "node": node, "ts": 5.0,
-             "dlinks": full, "rlinks": full},
-        ]
-        if regress:
-            broken = [successor] if node == ring[0] else full
-            node_records.append(
-                {"event": "views", "node": node, "ts": 8.0,
-                 "dlinks": broken, "rlinks": full}
-            )
-        records[node] = node_records
-    write_logs(log_dir, records)
+    write_run(log_dir, converging_run(nodes, regress))
 
 
 def events_of(records_by_node):
@@ -115,7 +74,7 @@ class TestRingConvergence:
                 {"event": "views", "node": node, "ts": 103.0,
                  "dlinks": full, "rlinks": full},
             ]
-        write_logs(tmp_path, records)
+        write_run(tmp_path, records)
         report = analyze_run(tmp_path).convergence
         assert report.converged_at == 3.0
         assert report.samples[0][0] == 3.0
@@ -151,7 +110,7 @@ class TestConvergenceGate:
             main(["net-analyze", str(tmp_path), "--expect-converged-by", "60"])
 
     def test_gate_fails_without_convergence_data(self, tmp_path):
-        write_logs(
+        write_run(
             tmp_path,
             {1: [{"event": "start", "node": 1, "ts": 0.0, "ring_id": 1}]},
         )

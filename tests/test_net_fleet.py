@@ -21,6 +21,7 @@ from repro.net.fleet import (
     realized_lifetimes,
     run_fleet,
 )
+from tests import analyzer_reference
 
 # One churned publish: node 3 is dead while node 0 publishes, then
 # comes back — push cannot reach it, only §5 pull can.
@@ -193,6 +194,10 @@ class TestFleetRuns:
         assert report.delivery_ratio == 1.0
         # Six up-intervals: four uninterrupted, two for churned node 3.
         assert sum(result.lifetime_hist.values()) == 6
+        # A real log, appended restart and pull deliveries included:
+        # the indexed analyzer reports what the per-message rescan did.
+        rescan = analyzer_reference.analyze_run(tmp_path, sim_trials=5)
+        assert report.to_dict() == rescan.to_dict()
 
     def test_without_pull_the_gap_stays_open(self, tmp_path):
         overrides = dict(CHURN_SCENARIO["node"])

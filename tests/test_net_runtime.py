@@ -28,6 +28,8 @@ from repro.net.wire import (
     parse_endpoint,
     send_publish,
 )
+from tests.net_logs import chain_logs as _chain_logs
+from tests.net_logs import write_log
 
 # Fast-but-not-frantic timings for loopback tests on a 1-CPU runner.
 FAST = dict(
@@ -447,57 +449,6 @@ class TestHardening:
 # ----------------------------------------------------------------------
 # analyzer on synthetic logs: hand-computable numbers
 # ----------------------------------------------------------------------
-
-
-def write_log(tmp_path, node_id, records):
-    path = tmp_path / f"node-{node_id:012x}.jsonl"
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-
-
-def _chain_logs(tmp_path):
-    """A 1 -> 2 -> 3 flooding chain published at ts=100."""
-    base = {"event": "start", "protocol": "flooding", "fanout": 1}
-    write_log(
-        tmp_path,
-        1,
-        [
-            dict(base, ts=90.0, node=1, ring_id=10, addr=["127.0.0.1", 1]),
-            {"ts": 99.0, "node": 1, "event": "views", "cycle": 9,
-             "rlinks": [2], "dlinks": []},
-            {"ts": 100.0, "node": 1, "event": "publish", "msg_id": "m-1",
-             "payload": "p"},
-            {"ts": 100.0, "node": 1, "event": "deliver", "msg_id": "m-1",
-             "origin": 1, "hop": 0, "via": "publish"},
-            {"ts": 100.0, "node": 1, "event": "forward", "msg_id": "m-1",
-             "hop": 1, "targets": [2]},
-        ],
-    )
-    write_log(
-        tmp_path,
-        2,
-        [
-            dict(base, ts=90.0, node=2, ring_id=20, addr=["127.0.0.1", 2]),
-            {"ts": 99.0, "node": 2, "event": "views", "cycle": 9,
-             "rlinks": [1, 3], "dlinks": []},
-            {"ts": 100.01, "node": 2, "event": "deliver", "msg_id": "m-1",
-             "origin": 1, "hop": 1, "via": "push"},
-            {"ts": 100.01, "node": 2, "event": "forward", "msg_id": "m-1",
-             "hop": 2, "targets": [3]},
-        ],
-    )
-    write_log(
-        tmp_path,
-        3,
-        [
-            dict(base, ts=90.0, node=3, ring_id=30, addr=["127.0.0.1", 3]),
-            {"ts": 99.0, "node": 3, "event": "views", "cycle": 9,
-             "rlinks": [2], "dlinks": []},
-            {"ts": 100.02, "node": 3, "event": "deliver", "msg_id": "m-1",
-             "origin": 1, "hop": 2, "via": "push"},
-        ],
-    )
 
 
 class TestAnalyzerSyntheticLogs:
