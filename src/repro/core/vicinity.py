@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.core.cyclon import CyclonCore
 from repro.core.messages import VicinityRequest, VicinityResponse
 from repro.core.views import NodeDescriptor, PartialView, merge_unique
@@ -40,6 +40,10 @@ class VicinityCore:
         gossip_length: int = 10,
         cyclon: Optional[CyclonCore] = None,
     ) -> None:
+        if gossip_length < 1:
+            raise ConfigurationError(
+                f"gossip_length must be >= 1, got {gossip_length}"
+            )
         self.node_id = node_id
         self.profile = profile
         self.proximity = proximity

@@ -112,6 +112,16 @@ class ExperimentConfig:
             raise ConfigurationError("need at least 3 nodes")
         if self.view_size < 2:
             raise ConfigurationError("view_size must be >= 2")
+        if not 1 <= self.shuffle_length <= self.view_size:
+            raise ConfigurationError(
+                f"shuffle_length must be in [1, view_size={self.view_size}], "
+                f"got {self.shuffle_length}"
+            )
+        if self.vicinity_gossip_length < 1:
+            raise ConfigurationError(
+                "vicinity_gossip_length must be >= 1, got "
+                f"{self.vicinity_gossip_length}"
+            )
         if self.warmup_cycles < 1:
             raise ConfigurationError("warmup_cycles must be >= 1")
         if self.num_messages < 1:

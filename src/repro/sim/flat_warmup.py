@@ -12,13 +12,20 @@ position of the ``gossip`` random stream.
 
 Flat state, per alive node and per protocol, is an insertion-ordered
 ``dict peer_id -> cell`` where a cell is ``[age, descriptor-or-None]``;
-ring keys sit in one list indexed by node ID. A cell stands for one
-descriptor *object*: ``VicinityCore._merge`` keeps the CYCLON view's
-live descriptors, so a node's two views can hold the same object, which
-then ages twice per cycle. Import maps a shared descriptor to a shared
-cell and export builds one descriptor per cell, so that structure
+ring keys sit, as floats, in one list indexed by node ID. A cell stands
+for one descriptor *object*: ``VicinityCore._merge`` keeps the CYCLON
+view's live descriptors, so a node's two views can hold the same object,
+which then ages twice per cycle. Import maps a shared descriptor to a
+shared cell and export builds one descriptor per cell, so that structure
 survives the round trip. Exported views are rebuilt through
 ``PartialView.add``; every view invariant is checked again there.
+
+VICINITY's view selection ranks only when its answer can change: a view
+the kernel ranked is closest-first, so a merge that brings in no peer
+strictly closer than the view's farthest entry leaves it as it stands
+and only refreshes ages (``keep_closest`` in :func:`_gossip`). All
+ranking goes through :func:`~repro.membership.ring_ids.closest_indices`,
+where the tie rule lives.
 
 The kernel replays only the stock stack (see :func:`_flatten`); churn,
 cycle hooks, multi-ring and domain-ring overlays, protocol subclasses
@@ -34,7 +41,11 @@ from repro.core.cyclon import CyclonCore
 from repro.core.vicinity import VicinityCore
 from repro.core.views import NodeDescriptor, PartialView
 from repro.membership.cyclon import Cyclon
-from repro.membership.ring_ids import RingProximity, closest_indices
+from repro.membership.ring_ids import (
+    RingProximity,
+    circular_distance,
+    closest_indices,
+)
 from repro.membership.vicinity import Vicinity
 from repro.sim.cycle import CycleDriver
 
@@ -46,7 +57,8 @@ Shipped = List[Tuple[int, int]]  # (peer_id, age) pairs: descriptor copies
 
 _STOCK_SELECT = RingProximity.select
 _NEVER = float("-inf")
-_SELF = (0, None)  # the age-0 self-descriptor a VICINITY payload ends with
+_ALWAYS = float("inf")
+_EXACT = 1 << 53  # integers up to here are exact in a double
 
 
 class _Flat:
@@ -55,7 +67,10 @@ class _Flat:
     def __init__(self, network) -> None:
         self.alive = network.alive_ids()
         self.profiles = [node.profile for node in network.all_nodes()]
-        self.ring = [profile.ring_ids[0] for profile in self.profiles]
+        # Floats: ring IDs sit below 2^32, where CPython ints are
+        # two-digit longs and every ``-``/``%`` takes the slow path.
+        # Distances stay exact while the ID space fits a double.
+        self.ring = [float(profile.ring_ids[0]) for profile in self.profiles]
         size = len(self.profiles)
         self.cyclon: List[Optional[View]] = [None] * size
         self.vicinity: List[Optional[View]] = [None] * size
@@ -107,11 +122,12 @@ def _flatten(driver: CycleDriver) -> Optional[_Flat]:
     Stock means: a plain ``CycleDriver`` with no churn adapter and no
     cycle hook; ``RingProximity.select`` not replaced; every alive node
     runs exactly ``Cyclon`` or exactly ``Cyclon`` + one ``Vicinity``
-    named ``"vicinity"`` over ``RingProximity(ring_index=0)`` fed by the
-    node's own CYCLON core — the same stack, sized the same, on all of
-    them; no shuffle is pending; every held descriptor carries its
-    subject's profile. Dead nodes are never stepped, so their protocols
-    are not inspected.
+    named ``"vicinity"`` over ``RingProximity(ring_index=0)`` (ID space
+    at most 2^53: ring keys are held as floats) fed by the node's own
+    CYCLON core — the same stack, sized the same, on all of them; no
+    shuffle is pending; every held descriptor carries its subject's
+    profile. Dead nodes are never stepped, so their protocols are not
+    inspected.
     """
     if type(driver) is not CycleDriver:
         return None
@@ -165,6 +181,7 @@ def _flatten(driver: CycleDriver) -> Optional[_Flat]:
             or vcore.profile != node.profile
             or vcore.cyclon is not core
             or proximity.ring_index != 0
+            or proximity.space > _EXACT
             or shape != (flat.vicinity_shape or shape)
         ):
             return None
@@ -273,32 +290,90 @@ def _gossip(flat: _Flat, rng, cycles: int) -> Tuple[int, int, int]:
     vicinity_size, gossip_length, space = flat.vicinity_shape or (0, 0, 0)
     shuffle, sample, choice = rng.shuffle, rng.sample, rng.choice
     key_of = ring.__getitem__
+    # A float like the keys: an int here would be converted on every
+    # ``%``, which costs more than the float keys save.
+    space = float(space)
+    half = space // 2
+    # Per owner, the distance to the farthest entry of the VICINITY view
+    # as ``keep_closest`` last ranked it; ``None`` until it has, because
+    # an imported view is in no known order.
+    reach: List[Optional[float]] = [None] * len(ring)
     messages = entries = failed = 0
 
     def closest_to(target: int, owner: int) -> Shipped:
         """``VicinityCore._entries_for``: of own view ∪ CYCLON view ∪
         self, minus the target, the entries closest to the target."""
-        pool = dict(vicinity[owner])
-        for peer_id, cell in cyclon[owner].items():
-            held = pool.get(peer_id)
-            if held is None or cell[0] < held[0]:
-                pool[peer_id] = cell
-        pool.pop(target, None)
-        pool[owner] = _SELF
-        ids = list(pool)
-        cells = list(pool.values())
-        chosen = closest_indices(
-            map(key_of, ids), ring[target], gossip_length, space
-        )
-        return [(ids[i], cells[i][0]) for i in chosen]
+        view, feed = vicinity[owner], cyclon[owner]
+        # The merged pool's order — view, CYCLON-only peers, self — so
+        # equal distances fall as they do there.
+        ids = list(view)
+        in_view = len(ids)
+        ids += [peer_id for peer_id in feed if peer_id not in view]
+        ids.append(owner)
+        # One more than is shipped: the target may be among the
+        # candidates, and under a stable sort dropping it afterwards
+        # equals ranking without it.
+        shipped: Shipped = []
+        for i in closest_indices(
+            map(key_of, ids), ring[target], gossip_length + 1, space
+        ):
+            peer_id = ids[i]
+            if peer_id == target:
+                continue
+            if peer_id == owner:
+                age = 0  # a fresh self-descriptor
+            elif i >= in_view:
+                age = feed[peer_id][0]
+            else:
+                # The fresher of the two views' copies, the view's on a tie.
+                age = view[peer_id][0]
+                fed = feed.get(peer_id)
+                if fed is not None and fed[0] < age:
+                    age = fed[0]
+            shipped.append((peer_id, age))
+        return shipped[:gossip_length]
 
     def keep_closest(owner: int, received: Shipped) -> None:
         """``VicinityCore._merge``: of own view ∪ received ∪ CYCLON view
         (freshest copy per peer, the earlier one on equal ages), keep
         the entries closest to self. An entry taken from the CYCLON view
         is that view's own cell — the sharing the module docstring names.
+
+        A view this function wrote is closest-first and its members come
+        first in the pool, so the stable ranking returns it unchanged
+        unless a peer outside it is *strictly* closer than its farthest
+        entry (any outsider at all while it has room). Until one shows
+        up only the cells are refreshed, in the merge's order; the merge
+        is idempotent, so falling through to it midway is safe.
         """
         view = vicinity[owner]
+        limit = reach[owner]
+        if limit is not None:
+            if len(view) < vicinity_size:
+                limit = _ALWAYS
+            ref = ring[owner]
+            for peer_id, age in received:
+                held = view.get(peer_id)
+                if held is not None:
+                    if age < held[0]:
+                        view[peer_id] = [age, None]
+                elif peer_id != owner:
+                    # The distance closest_indices sorts by, inlined.
+                    ahead = (ring[peer_id] - ref) % space
+                    if (ahead if ahead <= half else space - ahead) < limit:
+                        break
+            else:
+                for peer_id, cell in cyclon[owner].items():
+                    held = view.get(peer_id)
+                    if held is not None:
+                        if cell[0] < held[0]:
+                            view[peer_id] = cell
+                    else:
+                        ahead = (ring[peer_id] - ref) % space
+                        if (ahead if ahead <= half else space - ahead) < limit:
+                            break
+                else:
+                    return
         pool = dict(view)
         for peer_id, age in received:
             if peer_id == owner:
@@ -312,11 +387,17 @@ def _gossip(flat: _Flat, rng, cycles: int) -> Tuple[int, int, int]:
                 pool[peer_id] = cell
         ids = list(pool)
         cells = list(pool.values())
-        view.clear()
-        for i in closest_indices(
+        chosen = closest_indices(
             map(key_of, ids), ring[owner], vicinity_size, space
-        ):
+        )
+        view.clear()
+        for i in chosen:
             view[ids[i]] = cells[i]
+        reach[owner] = (
+            circular_distance(ring[owner], ring[ids[chosen[-1]]], space)
+            if chosen
+            else _ALWAYS
+        )
 
     for _ in range(cycles):
         order = list(flat.alive)

@@ -1,13 +1,20 @@
 """Tests for experiment configuration and scale presets."""
 
+import json
+
 import pytest
 
+from repro import api
 from repro.common.errors import ConfigurationError
+from repro.core.vicinity import VicinityCore
 from repro.experiments.config import (
     ExperimentConfig,
     OverlaySpec,
     scale_config,
 )
+from repro.experiments.sweep_spec import SweepSpec
+from repro.membership.ring_ids import RingProximity
+from repro.sim.node import NodeProfile
 
 
 class TestOverlaySpec:
@@ -61,6 +68,36 @@ class TestExperimentConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shuffle_length", 50),  # more than a view of 20 holds
+            ("shuffle_length", 0),
+            ("vicinity_gossip_length", -3),
+            ("vicinity_gossip_length", 0),
+        ],
+    )
+    def test_nonsense_gossip_sizes_fail_before_any_trial(
+        self, field, value, tmp_path, monkeypatch
+    ):
+        """They used to surface inside the first trial (a shuffle longer
+        than the view) or never (VICINITY shipping nothing)."""
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(**{field: value})
+        path = tmp_path / "spec.json"
+        spec = {"scale": "tiny", "config": {field: value}}
+        path.write_text(json.dumps(spec))
+        monkeypatch.setattr(
+            api, "_run_sweep", lambda *a, **k: pytest.fail("trials scheduled")
+        )
+        with pytest.raises(ConfigurationError, match=field):
+            api.run_sweep(spec=SweepSpec.load(path))
+        if field == "vicinity_gossip_length":
+            with pytest.raises(ConfigurationError, match="gossip_length"):
+                VicinityCore(
+                    0, NodeProfile((7,)), RingProximity(), gossip_length=value
+                )
 
     def test_with_overrides(self):
         config = ExperimentConfig().with_overrides(num_nodes=999)

@@ -7,10 +7,18 @@ foundation of RINGCAST's zero miss ratio.
 
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.graphs.analysis import is_strongly_connected, ring_agreement
 from repro.membership.bootstrap import star_bootstrap
 from repro.membership.cyclon import Cyclon
-from repro.membership.ring_ids import OrderedRingProximity, RingProximity
+from repro.membership.ring_ids import (
+    OrderedRingProximity,
+    RingProximity,
+    circular_distance,
+    closest_indices,
+)
 from repro.membership.vicinity import Vicinity
 from repro.sim.cycle import CycleDriver
 from repro.sim.network import Network
@@ -283,3 +291,58 @@ class TestSharedDescriptors:
             other.profile, exclude_id=other.node_id
         )
         assert payload and not any(id(d) in held for d in payload)
+
+
+@st.composite
+def selections(draw):
+    """A view selected from some pool, then peers from outside it, in an
+    ID space small enough that equal distances are everywhere."""
+    space = draw(st.integers(2, 24))
+    keys = st.integers(0, space - 1)
+    ref = draw(keys)
+    pool = draw(st.lists(keys, min_size=1, max_size=12))
+    count = draw(st.integers(1, len(pool)))
+    view = [pool[i] for i in closest_indices(pool, ref, count, space)]
+    outsiders = draw(st.lists(keys, max_size=8))
+    return space, ref, view, outsiders
+
+
+def select_on_ints_and_floats(keys, ref, count, space):
+    """``closest_indices`` on int keys, which the same keys as floats
+    (what the flat warm-up kernel ranks on) must agree with."""
+    chosen = closest_indices(keys, ref, count, space)
+    assert chosen == closest_indices(
+        map(float, keys), float(ref), count, float(space)
+    )
+    return chosen
+
+
+class TestSelectionLeavesASettledViewAlone:
+    """What lets the flat warm-up kernel skip a ranking, stated on
+    ``closest_indices`` alone: a closest-first view placed ahead of the
+    newcomers comes back as it stands exactly when no newcomer is
+    *strictly* closer than its farthest entry."""
+
+    @given(selections())
+    def test_a_full_view_changes_iff_an_outsider_is_strictly_closer(
+        self, selection
+    ):
+        space, ref, view, outsiders = selection
+        farthest = circular_distance(ref, view[-1], space)
+        closer = any(
+            circular_distance(ref, key, space) < farthest for key in outsiders
+        )
+        chosen = select_on_ints_and_floats(
+            view + outsiders, ref, len(view), space
+        )
+        assert (chosen == list(range(len(view)))) == (not closer)
+
+    @given(selections(), st.integers(1, 4))
+    def test_a_view_with_room_changes_iff_there_is_an_outsider(
+        self, selection, room
+    ):
+        space, ref, view, outsiders = selection
+        chosen = select_on_ints_and_floats(
+            view + outsiders, ref, len(view) + room, space
+        )
+        assert (chosen == list(range(len(view)))) == (not outsiders)

@@ -9,6 +9,16 @@ run more *object* cycles and must be equal again, which is what proves
 the export (descriptor sharing between a node's two views included)
 left the objects in the state the object path would have.
 
+The kernel ranks a VICINITY view only when a peer outside it is
+*strictly* closer than its farthest entry, which is exact only under the
+stable tie rule, so the fuzz also varies how ring IDs are laid out
+(``LAYOUTS``): random, evenly spaced (every peer has an equidistant twin
+on the other side of the ring) and a coarse lattice (an outsider exactly
+as far as the farthest entry is the common case). It has the power to
+catch a wrong rule: a kernel mutated to skip the ranking on
+``< 0.9 × farthest`` fails ``test_kernel_matches_object_path`` within
+seconds.
+
 The hypothesis budget is the active profile's (100 examples by default;
 CI's ``warmup-kernel`` job raises it with ``--hypothesis-profile=deep``,
 registered in ``conftest.py``).
@@ -16,7 +26,8 @@ registered in ``conftest.py``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import random
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
@@ -40,17 +51,46 @@ from repro.membership.cyclon import Cyclon
 from repro.membership.ring_ids import RingProximity
 from repro.sim.cycle import CycleDriver
 from repro.sim.network import Network
-from repro.sim.node import NodeProfile
+from repro.sim.node import RING_ID_SPACE, NodeProfile
 
 KERNEL_KINDS = ("randcast", "ringcast", "hararycast")
+LAYOUTS = ("random", "even", "lattice")
+LATTICE_POINTS = 12
 
 
-def build(kind, nodes=40, seed=9, **spec_kwargs) -> Population:
-    return build_sized(kind, nodes, seed, 8, 3, 5, **spec_kwargs)
+def ring_layout(layout, nodes, seed):
+    """A patch of ``Network._fresh_ring_id`` that deals ``nodes`` ring
+    IDs laid out as ``layout`` says, in an order fixed by ``seed``."""
+    if layout == "random":
+        return nullcontext()  # Network's own uniform 32-bit IDs
+    rng = random.Random(seed)
+    if layout == "even":
+        ids = [index * (RING_ID_SPACE // nodes) for index in range(nodes)]
+        rng.shuffle(ids)
+    else:  # few distinct IDs, hence few distinct distances; twins abound
+        step = RING_ID_SPACE // LATTICE_POINTS
+        ids = [step * rng.randrange(LATTICE_POINTS) for _ in range(nodes)]
+    deal = iter(ids)
+    return mock.patch.object(
+        Network, "_fresh_ring_id", lambda network: next(deal)
+    )
+
+
+def build(
+    kind, nodes=40, seed=9, layout="random", **spec_kwargs
+) -> Population:
+    return build_sized(kind, nodes, seed, 8, 3, 5, layout, **spec_kwargs)
 
 
 def build_sized(
-    kind, nodes, seed, view_size, shuffle_length, gossip_length, **spec_kwargs
+    kind,
+    nodes,
+    seed,
+    view_size,
+    shuffle_length,
+    gossip_length,
+    layout="random",
+    **spec_kwargs,
 ) -> Population:
     """``build_population`` with the node count decoupled from the
     config's floor of 3, so two-node populations are reachable."""
@@ -62,14 +102,24 @@ def build_sized(
         seed=seed,
     )
     spec = OverlaySpec(kind=kind, **spec_kwargs)
-    if nodes >= 3:
-        return build_population(config, spec, RngRegistry(seed))
     registry = RngRegistry(seed)
-    network = Network(registry.stream("network"))
-    factory = make_node_factory(config, spec, registry.stream("domains"))
-    star_bootstrap([factory(network) for _ in range(nodes)])
+    with ring_layout(layout, nodes, seed):
+        if nodes >= 3:
+            return build_population(config, spec, registry)
+        network = Network(registry.stream("network"))
+        factory = make_node_factory(config, spec, registry.stream("domains"))
+        star_bootstrap([factory(network) for _ in range(nodes)])
     driver = CycleDriver(network, registry.stream("gossip"))
     return Population(network, driver, factory, registry, spec, config)
+
+
+def kill_fraction(population: Population, fraction: float) -> None:
+    alive = population.network.alive_ids()
+    victims = population.registry.stream("test-victims").sample(
+        alive, int(fraction * len(alive))
+    )
+    for victim in victims:
+        population.network.kill_node(victim)
 
 
 def observe(population: Population):
@@ -151,9 +201,12 @@ def object_cycles(population: Population, cycles: int) -> None:
 @st.composite
 def scenarios(draw):
     view_size = draw(st.integers(2, 12))
-    cycles = draw(st.integers(1, 8))
+    # Up to steady state, where nearly every merge leaves the view as it
+    # stands; the first few cycles from a star are all full selections.
+    cycles = draw(st.integers(1, 25))
     return {
         "kind": draw(st.sampled_from(KERNEL_KINDS)),
+        "layout": draw(st.sampled_from(LAYOUTS)),
         "nodes": draw(st.integers(2, 80)),
         "seed": draw(st.integers(0, 2**32 - 1)),
         "view_size": view_size,
@@ -183,14 +236,10 @@ def test_kernel_matches_object_path(scenario):
             scenario["view_size"],
             scenario["shuffle_length"],
             scenario["gossip_length"],
+            scenario["layout"],
         )
         object_cycles(population, scenario["before"])
-        victims = population.registry.stream("test-victims").sample(
-            population.network.alive_ids(),
-            int(scenario["kill_fraction"] * scenario["nodes"]),
-        )
-        for victim in victims:
-            population.network.kill_node(victim)
+        kill_fraction(population, scenario["kill_fraction"])
         populations.append(population)
     reference, flat = populations
 
@@ -223,6 +272,52 @@ def test_kernel_matches_object_path_at_paper_view_sizes(kind):
         == reference.network.gossip_entries_shipped
     )
     assert observe(flat) == observe(reference)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_views_that_never_fill(layout):
+    """Fewer peers than view slots: every VICINITY view keeps room, so
+    any peer outside it must be let in, however far away it is."""
+    reference, flat = (
+        build_sized("ringcast", 7, 21, 8, 3, 5, layout) for _ in range(2)
+    )
+    object_cycles(reference, 30)
+    with kernel_outcomes() as outcomes:
+        warm_up(flat, 30)
+    assert outcomes == [True]
+    assert observe(flat) == observe(reference)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_converged_views_shrink_when_a_third_of_the_peers_die(layout):
+    """Dead entries leave a view whose farthest distance the kernel
+    remembers; the room they leave must reopen the selection."""
+    reference, flat = (build("ringcast", 60, layout=layout) for _ in range(2))
+    object_cycles(reference, 30)
+    warm_up(flat, 30)
+    for population in (reference, flat):
+        kill_fraction(population, 1 / 3)
+    object_cycles(reference, 30)
+    with kernel_outcomes() as outcomes:
+        warm_up(flat, 30)
+    assert outcomes == [True]
+    assert flat.network.failed_contacts > 0
+    assert observe(flat) == observe(reference)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_split_warm_up_equals_one_warm_up_at_paper_length(kind):
+    """What the kernel remembers about a view dies with the call: 37 +
+    63 cycles leave exactly what 100 do."""
+    config = ExperimentConfig(num_nodes=60, warmup_cycles=100, seed=45)
+    whole, split = (
+        build_population(config, OverlaySpec(kind), RngRegistry(45))
+        for _ in range(2)
+    )
+    warm_up(whole, 100)
+    warm_up(split, 37)
+    warm_up(split, 63)
+    assert observe(split) == observe(whole)
 
 
 def test_shared_descriptors_survive_the_round_trip():
@@ -296,6 +391,12 @@ def plant_foreign_profile(population):
     descriptor.profile = NodeProfile(ring_ids=(12345,))
 
 
+def widen_id_space(population):
+    """Distances in a 2^60 space are not exact in the kernel's floats."""
+    for node in population.network.alive_nodes():
+        node.protocols["vicinity"].core.proximity.space = 1 << 60
+
+
 def nothing(population):
     pass
 
@@ -308,6 +409,7 @@ FALLBACKS = [
     ("randcast", {}, subclass_cyclon),
     ("ringcast", {}, leave_shuffle_pending),
     ("ringcast", {}, plant_foreign_profile),
+    ("ringcast", {}, widen_id_space),
 ]
 
 
