@@ -11,8 +11,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_progress
 
 
-def test_fig10_catastrophic_progress(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure10(cfg, kill_fraction=0.05))
+def test_fig10_catastrophic_progress(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure10(runs, kill_fraction=0.05))
 
     low = data.fanouts[0]
     high = data.fanouts[-1]

@@ -11,8 +11,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_effectiveness
 
 
-def test_fig11_churn(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure11(cfg))
+def test_fig11_churn(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure11(runs))
 
     rand_miss = data.miss_percent("randcast")
     ring_miss = data.miss_percent("ringcast")

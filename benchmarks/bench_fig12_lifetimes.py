@@ -11,8 +11,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_lifetimes
 
 
-def test_fig12_lifetime_distribution(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure12(cfg))
+def test_fig12_lifetime_distribution(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure12(runs))
 
     histogram = dict(data.series)
     total = sum(histogram.values())

@@ -13,8 +13,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_miss_lifetimes
 
 
-def test_fig13_lifetime_misses(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure13(cfg))
+def test_fig13_lifetime_misses(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure13(runs))
 
     fanout = data.fanouts[0]
     ring = dict(data.series["ringcast"].get(fanout, ()))

@@ -11,8 +11,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_progress
 
 
-def test_fig7_static_progress(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure7(cfg))
+def test_fig7_static_progress(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure7(runs))
 
     for fanout in data.fanouts:
         ring = data.mean_series["ringcast"][fanout]

@@ -14,8 +14,8 @@ from repro.experiments import figures
 from repro.experiments.report import render_messages
 
 
-def test_fig8_message_overhead(benchmark, cfg):
-    data = once(benchmark, lambda: figures.figure8(cfg))
+def test_fig8_message_overhead(benchmark, cfg, runs):
+    data = once(benchmark, lambda: figures.figure8(runs))
 
     n = cfg.num_nodes
     ring_total = data.total("ringcast")

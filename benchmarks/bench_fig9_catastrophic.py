@@ -50,7 +50,7 @@ def test_fig9_catastrophic(benchmark, cfg, fraction):
         result,
         "catastrophic",
         cfg.num_nodes,
-        label=f"fig9@{int(fraction * 100)}%",
+        label=f"fig9@{round(fraction * 100)}%",
     )
 
     rand_miss = data.miss_percent("randcast")
@@ -65,6 +65,6 @@ def test_fig9_catastrophic(benchmark, cfg, fraction):
     assert ring_miss[0] > 0.0
 
     record_table(
-        f"fig9_kill{int(fraction * 100):02d}_{cfg.scale_name}",
+        f"fig9_kill{round(fraction * 100):02d}_{cfg.scale_name}",
         render_effectiveness(data),
     )

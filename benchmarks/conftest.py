@@ -11,8 +11,10 @@ captures both timings and the regenerated figure data.
 
 Scale selection: ``REPRO_SCALE`` (tiny / small / medium / paper),
 default ``small``. Figure benches share scenario runs through the
-memoisation in :mod:`repro.experiments.figures` — e.g. Figs. 6/7/8 pay
-for one static sweep per protocol between them.
+session's one :class:`~repro.experiments.scenarios.ScenarioRuns`
+(the ``runs`` fixture) — e.g. Figs. 7/8 pay for one static run per
+protocol between them, so the first bench to need a run is timed
+computing it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.experiments.config import scale_config
+from repro.experiments.scenarios import ScenarioRuns
 from repro.experiments.sweep_results import canonical_json
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -51,6 +54,12 @@ def record_json(name: str, payload: dict) -> Path:
 def cfg():
     """The benchmark-wide experiment configuration."""
     return scale_config(os.environ.get("REPRO_SCALE", "small"), seed=BENCH_SEED)
+
+
+@pytest.fixture(scope="session")
+def runs(cfg):
+    """The scenario runs every figure bench reads, at ``cfg``."""
+    return ScenarioRuns(cfg)
 
 
 def sweep_workers() -> int:

@@ -2,7 +2,8 @@
 sweep parameter grids.
 
 These functions cover the common cases; power users compose the
-underlying layers directly (see README architecture notes).
+underlying layers directly (the :mod:`repro` package docstring lists
+them).
 
 >>> from repro import build_overlay, disseminate
 >>> snapshot = build_overlay(num_nodes=150, protocol="ringcast", seed=7,

@@ -1,12 +1,18 @@
 """Command-line interface: ``python -m repro`` / ``repro``.
 
-Regenerates any of the paper's evaluation figures as ASCII tables and
-optional gnuplot ``.dat`` files::
+Regenerates any of the paper's evaluation figures as ASCII tables
+(``--out DIR`` also writes them as ``<table>.txt``, plus Fig. 6's
+gnuplot ``fig6.dat``)::
 
     repro fig6 --scale small --seed 42
     repro fig9 --out results/
     repro all --scale medium --workers 4
     repro demo
+
+Each ``figN`` subcommand and ``repro all`` render the tables listed in
+:data:`repro.experiments.figures.FIGURES`, so a table has one name
+everywhere; ``repro all --workers N`` computes the scenario runs on N
+processes first, with the same output bytes at any N.
 
 Running sweeps
 --------------
@@ -99,6 +105,7 @@ from repro.common.errors import ConfigurationError
 from repro.experiments import figures as fig
 from repro.experiments import report
 from repro.experiments.config import scale_config
+from repro.experiments.scenarios import ScenarioRuns
 from repro.experiments.scenario_matrix import (
     registered_params,
     scenario_names,
@@ -123,7 +130,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--out",
         type=Path,
         default=None,
-        help="directory for gnuplot .dat files (optional)",
+        help="also write the output there as .txt (and .dat) files",
     )
 
 
@@ -135,84 +142,14 @@ def _emit(text: str, name: str, out: Optional[Path]) -> None:
         (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
-def _run_fig6(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure6(config)
-    _emit(report.render_effectiveness(data), "fig6", args.out)
+def _run_figure(args) -> None:
+    runs = ScenarioRuns(scale_config(args.scale, seed=args.seed))
+    tables = fig.FIGURES[args.command](runs)
+    for text in tables.values():
+        print(text)
+        print()
     if args.out is not None:
-        rows = [
-            [
-                f,
-                data.miss_percent("randcast")[i],
-                data.miss_percent("ringcast")[i],
-                data.complete_percent("randcast")[i],
-                data.complete_percent("ringcast")[i],
-            ]
-            for i, f in enumerate(data.fanouts)
-        ]
-        report.write_dat(
-            args.out / "fig6.dat",
-            ["fanout", "rand_miss", "ring_miss", "rand_compl", "ring_compl"],
-            rows,
-        )
-
-
-def _run_fig7(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure7(config)
-    _emit(report.render_progress(data), "fig7", args.out)
-
-
-def _run_fig8(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure8(config)
-    _emit(report.render_messages(data), "fig8", args.out)
-
-
-def _run_fig9(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    for fraction, data in fig.figure9(config).items():
-        _emit(
-            report.render_effectiveness(data),
-            f"fig9_kill{int(fraction * 100)}",
-            args.out,
-        )
-
-
-def _run_fig10(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure10(config)
-    _emit(report.render_progress(data), "fig10", args.out)
-
-
-def _run_fig11(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure11(config)
-    _emit(report.render_effectiveness(data), "fig11", args.out)
-
-
-def _run_fig12(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure12(config)
-    _emit(report.render_lifetimes(data), "fig12", args.out)
-
-
-def _run_fig13(args) -> None:
-    config = scale_config(args.scale, seed=args.seed)
-    data = fig.figure13(config)
-    _emit(report.render_miss_lifetimes(data), "fig13", args.out)
-
-
-_FIGURES = {
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fig12": _run_fig12,
-    "fig13": _run_fig13,
-}
+        fig.write_tables(tables, runs, args.out)
 
 
 def _run_theory(args) -> None:
@@ -253,15 +190,11 @@ def _run_convergence(args) -> None:
 
 
 def _run_all(args) -> None:
-    from repro.experiments.runner import regenerate_all
-
-    config = scale_config(args.scale, seed=args.seed)
-    tables = regenerate_all(
-        config,
+    tables = fig.regenerate_all(
+        ScenarioRuns(scale_config(args.scale, seed=args.seed)),
         out_dir=args.out,
         progress=lambda name, secs: print(f"({name} took {secs:.1f}s)"),
         workers=args.workers,
-        backend=args.backend,
     )
     for name, text in tables.items():
         print(f"=== {name} ===")
@@ -692,8 +625,8 @@ def _build_fault_profile(args):
 def _run_node(args) -> None:
     import asyncio
 
+    from repro.experiments.sweep_backends import parse_endpoint
     from repro.net.node import NodeConfig, run_node
-    from repro.net.wire import parse_endpoint
 
     config = NodeConfig(
         host=args.host,
@@ -734,7 +667,8 @@ def _run_node(args) -> None:
 
 
 def _run_net_send(args) -> None:
-    from repro.net.wire import parse_endpoint, send_publish
+    from repro.experiments.sweep_backends import parse_endpoint
+    from repro.net.wire import send_publish
 
     msg_id = send_publish(
         parse_endpoint(args.to),
@@ -880,12 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _FIGURES.items():
+    for name in fig.FIGURES:
         sub = subparsers.add_parser(
             name, help=f"regenerate paper {name}"
         )
         _add_common(sub)
-        sub.set_defaults(func=runner)
+        sub.set_defaults(func=_run_figure)
     sub = subparsers.add_parser("all", help="regenerate every figure")
     _add_common(sub)
     sub.add_argument(
@@ -894,13 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="parallel worker processes for the scenario runs "
         "(default: 1; results identical at any value)",
-    )
-    sub.add_argument(
-        "--backend",
-        choices=("inline", "process"),
-        default=None,
-        help="execution backend for the scenario prewarm (default: "
-        "inline at --workers 1, process otherwise)",
     )
     sub.set_defaults(func=_run_all)
     sub = subparsers.add_parser(

@@ -9,10 +9,12 @@ Every experiment follows the paper's pipeline::
 ``medium``, ``paper``) selectable via the ``REPRO_SCALE`` environment
 variable; :mod:`repro.experiments.builder` constructs protocol stacks;
 :mod:`repro.experiments.scenarios` runs the three evaluation scenarios
-(static failure-free, catastrophic failure, continuous churn);
-:mod:`repro.experiments.figures` regenerates each of the paper's
-evaluation figures as structured data;
-:mod:`repro.experiments.report` renders them as paper-style tables;
+(static failure-free, catastrophic failure, continuous churn) and holds
+the runs behind the paper's figures in one
+:class:`~repro.experiments.scenarios.ScenarioRuns`;
+:mod:`repro.experiments.figures` derives each evaluation figure from
+those runs as structured data, and :func:`regenerate_all` all of them
+as tables; :mod:`repro.experiments.report` renders paper-style tables;
 and :mod:`repro.experiments.sweep` expands declarative
 (scenario × protocol × N × fanout × seed) grids into independent
 trials executed through a pluggable backend — serial, local process
@@ -39,15 +41,16 @@ from repro.experiments.convergence import (
     RingConvergenceProbe,
     measure_ring_convergence,
 )
-from repro.experiments.runner import regenerate_all
+from repro.experiments.figures import regenerate_all
 from repro.experiments.scenarios import (
     ChurnOutcome,
     FanoutSweep,
+    ScenarioRuns,
     run_catastrophic_scenario,
     run_churn_scenario,
     run_static_scenario,
 )
-from repro.experiments.sweep import execute_jobs, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_spec import (
     ScenarioSelection,
     SweepSpec,
@@ -82,6 +85,7 @@ __all__ = [
     "OverlaySpec",
     "ProcessPoolBackend",
     "RingConvergenceProbe",
+    "ScenarioRuns",
     "ScenarioSelection",
     "SocketWorkerBackend",
     "SweepBackend",
@@ -90,7 +94,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "build_population",
-    "execute_jobs",
     "flat_spec",
     "freeze_overlay",
     "make_node_factory",

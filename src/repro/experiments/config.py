@@ -15,8 +15,9 @@ medium    2000     30           1–16      2
 paper     10000    100          1–20      3
 ========  =======  ===========  ========  ===============
 
-``tiny`` exists for the test suite only. EXPERIMENTS.md records which
-scale produced each reported number.
+``tiny`` exists for the test suite only. The figure benches write
+their tables to ``results/`` with the scale in the file name
+(``fig6_small.txt``).
 """
 
 from __future__ import annotations

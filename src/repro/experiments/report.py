@@ -10,15 +10,16 @@ plotted from).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple, Union
 
-from repro.experiments.figures import (
-    EffectivenessFigure,
-    LifetimeFigure,
-    MessageFigure,
-    MissLifetimeFigure,
-    ProgressFigure,
-)
+if TYPE_CHECKING:
+    from repro.experiments.figures import (
+        EffectivenessFigure,
+        LifetimeFigure,
+        MessageFigure,
+        MissLifetimeFigure,
+        ProgressFigure,
+    )
 
 __all__ = [
     "render_effectiveness",

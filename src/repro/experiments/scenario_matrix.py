@@ -56,20 +56,18 @@ from repro.common.rng import RngRegistry
 from repro.dissemination.executor import DisseminationResult, disseminate
 from repro.dissemination.policies import policy_for_snapshot
 from repro.dissemination.snapshot import OverlaySnapshot
-from repro.experiments.builder import (
-    build_population,
-    freeze_overlay,
-    warm_up,
-)
 from repro.experiments.config import ExperimentConfig, OverlaySpec
-from repro.experiments.scenarios import sweep_snapshot
+from repro.experiments.scenarios import (
+    build_churned_overlay,
+    build_static_overlay,
+    sweep_snapshot,
+)
 from repro.experiments.sweep_results import (
     UNIVERSAL_PARAM_DEFAULTS,
     TrialResult,
     TrialSpec,
 )
 from repro.extensions.pull_recovery import pull_recovery
-from repro.failures.churn import ArtificialChurn
 from repro.metrics.dissemination import summarize_runs
 
 __all__ = [
@@ -509,11 +507,8 @@ def _build_static_overlay(
     spec: TrialSpec, config: ExperimentConfig, registry: RngRegistry
 ):
     """The failure-free warm-up (the ``static`` overlay family)."""
-    population = build_population(
-        config, OverlaySpec(kind=spec.protocol), registry
-    )
-    warm_up(population)
-    return freeze_overlay(population), {}
+    overlay = OverlaySpec(kind=spec.protocol)
+    return build_static_overlay(config, overlay, registry), {}
 
 
 def _built_snapshot(
@@ -608,17 +603,11 @@ def _build_churned_overlay(
     The turnover cycle count is part of the build outcome (churn trials
     report it), so it rides in the entry's extras and survives caching.
     """
-    population = build_population(
-        config, OverlaySpec(kind=spec.protocol), registry
+    overlay = OverlaySpec(kind=spec.protocol)
+    snapshot, cycles = build_churned_overlay(
+        config, overlay, registry, spec.churn_rate
     )
-    churn = ArtificialChurn(spec.churn_rate, population.node_factory)
-    population.driver.churn = churn
-    warm_up(population, config.warmup_cycles)
-    cycles = population.driver.run_until(
-        churn.full_turnover_reached,
-        max_cycles=config.churn_max_cycles,
-    )
-    return freeze_overlay(population), {"churn_cycles": float(cycles)}
+    return snapshot, {"churn_cycles": float(cycles)}
 
 
 def _churned_snapshot(

@@ -11,13 +11,18 @@ Each scenario sweeps the configured fanouts, posting
 ``config.num_messages`` messages from random origins per fanout, over
 ``config.num_networks`` (or ``config.churn_networks``) independently
 built networks, and merges everything into a :class:`FanoutSweep`.
+
+:class:`ScenarioRuns` holds the runs behind the paper's figures (one
+static and one churn run per protocol, one catastrophic run per
+protocol and kill fraction), computing each at most once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngRegistry
@@ -41,6 +46,9 @@ __all__ = [
     "ChurnOutcome",
     "DISSEMINATION_CORES",
     "FanoutSweep",
+    "ScenarioRuns",
+    "build_churned_overlay",
+    "build_static_overlay",
     "resolve_core",
     "run_catastrophic_scenario",
     "run_churn_scenario",
@@ -200,12 +208,37 @@ def _sweep_snapshot_array(
     return sweep
 
 
-def _built_snapshot(
+def build_static_overlay(
     config: ExperimentConfig, spec: OverlaySpec, registry: RngRegistry
 ) -> OverlaySnapshot:
+    """Warm up and freeze one failure-free overlay."""
     population = build_population(config, spec, registry)
     warm_up(population)
     return freeze_overlay(population)
+
+
+def build_churned_overlay(
+    config: ExperimentConfig,
+    spec: OverlaySpec,
+    registry: RngRegistry,
+    churn_rate: float,
+) -> Tuple[OverlaySnapshot, int]:
+    """Gossip under churn until full turnover, then freeze.
+
+    Returns the snapshot and the number of cycles run under churn. An
+    initial churn-free warm-up lets the star bootstrap unfold before
+    nodes start dying (the paper's networks likewise begin from a
+    converged state before churn statistics are taken).
+    """
+    population = build_population(config, spec, registry)
+    churn = ArtificialChurn(churn_rate, population.node_factory)
+    population.driver.churn = churn
+    warm_up(population, config.warmup_cycles)
+    cycles = population.driver.run_until(
+        churn.full_turnover_reached,
+        max_cycles=config.churn_max_cycles,
+    )
+    return freeze_overlay(population), cycles
 
 
 def run_static_scenario(
@@ -219,7 +252,7 @@ def run_static_scenario(
         registry = RngRegistry(config.seed).spawn(
             f"static/{spec.kind}/net{net_index}"
         )
-        snapshot = _built_snapshot(config, spec, registry)
+        snapshot = build_static_overlay(config, spec, registry)
         sweep = sweep_snapshot(
             snapshot, config, registry, collect_load=collect_load
         )
@@ -242,7 +275,7 @@ def run_catastrophic_scenario(
         registry = RngRegistry(config.seed).spawn(
             f"catastrophic/{spec.kind}/{kill_fraction}/net{net_index}"
         )
-        snapshot = _built_snapshot(config, spec, registry)
+        snapshot = build_static_overlay(config, spec, registry)
         damaged = snapshot.kill_fraction(
             kill_fraction, registry.stream("failures")
         )
@@ -295,20 +328,9 @@ def run_churn_scenario(
         registry = RngRegistry(config.seed).spawn(
             f"churn/{spec.kind}/{rate}/net{net_index}"
         )
-        population = build_population(config, spec, registry)
-        churn = ArtificialChurn(rate, population.node_factory)
-        population.driver.churn = churn
-
-        # An initial churn-free warm-up lets the star bootstrap unfold
-        # before nodes start dying (the paper's networks likewise begin
-        # from a converged state before churn statistics are taken).
-        warm_up(population, config.warmup_cycles)
-        cycles = population.driver.run_until(
-            churn.full_turnover_reached,
-            max_cycles=config.churn_max_cycles,
+        snapshot, cycles = build_churned_overlay(
+            config, spec, registry, rate
         )
-        snapshot = freeze_overlay(population)
-
         sweep = sweep_snapshot(snapshot, config, registry)
         if outcome is None:
             outcome = ChurnOutcome(sweep=sweep)
@@ -326,3 +348,88 @@ def run_churn_scenario(
                 )
     assert outcome is not None
     return outcome
+
+
+# The protocols the paper's figures compare, and Figs. 9/10's kill
+# fractions.
+PROTOCOLS = ("randcast", "ringcast")
+PAPER_KILL_FRACTIONS = (0.01, 0.02, 0.05, 0.10)
+
+# Every run the figures read, keyed ("static", kind),
+# ("catastrophic", kind, fraction) or ("churn", kind); churn first, as
+# it takes longest, so a pool stays busy to the end.
+_FIGURE_RUNS = (
+    *(("churn", kind) for kind in PROTOCOLS),
+    *(("static", kind) for kind in PROTOCOLS),
+    *(
+        ("catastrophic", kind, fraction)
+        for kind in PROTOCOLS
+        for fraction in PAPER_KILL_FRACTIONS
+    ),
+)
+
+
+def _compute(config: ExperimentConfig, key: Tuple):
+    scenario, kind, *fraction = key
+    if scenario == "static":
+        return run_static_scenario(config, OverlaySpec(kind))
+    if scenario == "catastrophic":
+        return run_catastrophic_scenario(
+            config, OverlaySpec(kind), *fraction
+        )
+    return run_churn_scenario(config, OverlaySpec(kind))
+
+
+class ScenarioRuns:
+    """The scenario runs at one config, each computed at most once.
+
+    Figures are views over these runs: Figs. 6/7/8 read
+    :meth:`static`, Figs. 9/10 :meth:`catastrophic`, Figs. 11/12/13
+    :meth:`churn`. Every run draws from its own RNG universe
+    (``RngRegistry(config.seed).spawn("<scenario>/<kind>/…/net<i>")``),
+    so a run's result does not depend on which other runs were
+    computed, in what order, or in which process.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.config = config
+        self._runs: Dict[Tuple, Union[FanoutSweep, ChurnOutcome]] = {}
+
+    def static(self, kind: str) -> FanoutSweep:
+        """§7.1 over ``kind`` (Figs. 6, 7, 8)."""
+        return self._get(("static", kind))
+
+    def catastrophic(self, kind: str, fraction: float) -> FanoutSweep:
+        """§7.2 over ``kind`` with ``fraction`` killed (Figs. 9, 10)."""
+        return self._get(("catastrophic", kind, fraction))
+
+    def churn(self, kind: str) -> ChurnOutcome:
+        """§7.3 over ``kind`` (Figs. 11, 12, 13)."""
+        return self._get(("churn", kind))
+
+    def _get(self, key: Tuple):
+        if key not in self._runs:
+            self._runs[key] = _compute(self.config, key)
+        return self._runs[key]
+
+    def prefetch(self, workers: int) -> None:
+        """Compute every run the paper's figures read, ``workers`` wide.
+
+        With ``workers > 1`` the runs not computed yet execute on a
+        process pool; with one worker they run here, one by one.
+        """
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        missing = [key for key in _FIGURE_RUNS if key not in self._runs]
+        if workers == 1 or len(missing) <= 1:
+            for key in missing:
+                self._get(key)
+            return
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(missing))
+        ) as pool:
+            futures = [
+                pool.submit(_compute, self.config, key) for key in missing
+            ]
+            for key, future in zip(missing, futures):
+                self._runs[key] = future.result()

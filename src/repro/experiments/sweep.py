@@ -25,28 +25,13 @@ same sweep (or a superset grid) skips them, which turns an interrupted
 overnight sweep into a cheap resume. The per-trial cache is also the
 unit of distribution: socket workers stream finished trials back into
 it one by one.
-
-:func:`execute_jobs` exposes the same deterministic-order execution for
-callers that need full scenario objects rather than trial metrics —
-:func:`repro.experiments.runner.regenerate_all` uses it to parallelise
-figure regeneration (inline/process backends only; the socket wire
-format carries typed trials, not arbitrary callables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -73,7 +58,7 @@ from repro.experiments.sweep_results import (
 )
 from repro.experiments.sweep_spec import SweepSpec
 
-__all__ = ["TrialListGrid", "execute_jobs", "run_sweep"]
+__all__ = ["TrialListGrid", "run_sweep"]
 
 # progress(trial_key, seconds, cached) — the CLI narrates long sweeps.
 SweepProgress = Callable[[str, float, bool], None]
@@ -89,6 +74,15 @@ class TrialListGrid:
     extra replicates a round allocated — each trial still derives its
     RNG universe from ``(root_seed, spec.key)``, so results are
     byte-identical to the same trials inside a fixed-replicate grid.
+
+    >>> trial = TrialSpec("static", "ringcast", num_nodes=40, fanout=3,
+    ...                   replicate=0)
+    >>> TrialListGrid((trial,)).expand() == (trial,)
+    True
+    >>> TrialListGrid((trial, trial))
+    Traceback (most recent call last):
+    ...
+    repro.common.errors.ConfigurationError: duplicate trial in TrialListGrid
     """
 
     trials: Tuple[TrialSpec, ...]
@@ -101,35 +95,6 @@ class TrialListGrid:
 
     def expand(self) -> Tuple[TrialSpec, ...]:
         return self.trials
-
-
-# ----------------------------------------------------------------------
-# deterministic-order execution
-# ----------------------------------------------------------------------
-
-Job = Tuple[Callable[..., Any], Tuple[Any, ...]]
-
-
-def execute_jobs(
-    jobs: Sequence[Job],
-    workers: int = 1,
-    backend: Union[str, SweepBackend, None] = None,
-) -> List[Any]:
-    """Run picklable ``(fn, args)`` jobs; results come back in job order.
-
-    ``workers=1`` executes inline (no pool, no pickling) — the
-    debugging and determinism baseline. Results never depend on
-    completion order, only on job order. ``backend`` selects
-    ``"inline"`` or ``"process"`` explicitly; the socket backend is
-    rejected here because generic callables don't cross its typed
-    JSON wire format.
-
-    >>> execute_jobs([(pow, (2, 5)), (max, (3, 1))])
-    [32, 3]
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return resolve_backend(backend, workers=workers).run_jobs(list(jobs))
 
 
 def run_sweep(

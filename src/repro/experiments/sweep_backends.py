@@ -510,19 +510,6 @@ class SweepBackend(ABC):
     ) -> None:
         """Execute every ``(index, spec)`` pair and report via ``finish``."""
 
-    def run_jobs(self, jobs: Sequence[Tuple[Callable, Tuple]]) -> List[Any]:
-        """Run generic picklable ``(fn, args)`` jobs in job order.
-
-        Only the in-process backends support this (the figure runner's
-        prewarm path); the socket protocol ships typed trials, not
-        arbitrary callables.
-        """
-        raise ConfigurationError(
-            f"the {self.name!r} backend only executes sweep trials, not "
-            "generic (fn, args) jobs; use the 'inline' or 'process' "
-            "backend here"
-        )
-
 
 class InlineBackend(SweepBackend):
     """Serial in-process execution — no pickling, no subprocesses."""
@@ -549,14 +536,6 @@ class InlineBackend(SweepBackend):
                 core,
             )
             finish(index, spec, result, seconds)
-
-    def run_jobs(self, jobs) -> List[Any]:
-        return [fn(*args) for fn, args in jobs]
-
-
-def _call_job(job: Tuple[Callable, Tuple]) -> Any:
-    fn, args = job
-    return fn(*args)
 
 
 class ProcessPoolBackend(SweepBackend):
@@ -692,15 +671,6 @@ class ProcessPoolBackend(SweepBackend):
                     index, spec = futures[future]
                     result, seconds = future.result()
                     finish(index, spec, result, seconds)
-
-    def run_jobs(self, jobs) -> List[Any]:
-        if self.workers == 1 or len(jobs) <= 1:
-            return InlineBackend().run_jobs(jobs)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs))
-        ) as pool:
-            futures = [pool.submit(_call_job, job) for job in jobs]
-            return [future.result() for future in futures]
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "MAX_DATAGRAM_BYTES",
     "decode_datagram",
     "encode_datagram",
-    "parse_endpoint",
     "send_publish",
 ]
 
@@ -66,17 +65,6 @@ def decode_datagram(data: bytes) -> Dict[str, Any]:
     if not isinstance(obj, dict) or "t" not in obj:
         raise ProtocolError(f"datagram is not a tagged object: {data[:64]!r}")
     return obj
-
-
-def parse_endpoint(value: str) -> Address:
-    """Parse ``host:port`` into an address tuple."""
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
-        raise ProtocolError(f"endpoint must be host:port, got {value!r}")
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise ProtocolError(f"bad port in endpoint {value!r}") from exc
 
 
 def send_publish(

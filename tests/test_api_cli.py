@@ -198,15 +198,36 @@ class TestCli:
             )
 
     def test_all_backend_rejects_socket(self):
-        # Figure prewarm jobs carry overlay objects that don't cross
-        # the socket wire format; argparse enforces the restriction.
+        # `repro all` has no --backend at all: it only ever meant
+        # "inline at one worker, a process pool otherwise", which
+        # --workers says.
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["all", "--backend", "socket"])
-        assert (
-            parser.parse_args(["all", "--backend", "process"]).backend
-            == "process"
-        )
+        for backend in ("socket", "process", "inline"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["all", "--backend", backend])
+        assert parser.parse_args(["all", "--workers", "2"]).workers == 2
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["net-send", "--to", "127.0.0.1:{port}"],
+            ["node", "--bootstrap", "127.0.0.1:{port}"],
+        ],
+    )
+    def test_net_commands_reject_out_of_range_ports(
+        self, monkeypatch, argv, port
+    ):
+        # Both parse with the sweep's parse_endpoint, before any socket
+        # is opened.
+        import socket
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            main([arg.format(port=port) for arg in argv])
 
     def test_sweep_backend_inline_end_to_end(self, capsys, tmp_path):
         code = main(
@@ -297,10 +318,7 @@ class TestCli:
         assert "(cached)" not in first
         assert "(cached)" in second
 
-    def test_fig6_runs_at_tiny_scale(self, capsys, monkeypatch):
-        from repro.experiments import figures
-
-        figures.clear_caches()
+    def test_fig6_runs_at_tiny_scale(self, capsys):
         code = main(["fig6", "--scale", "tiny", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
@@ -308,15 +326,15 @@ class TestCli:
         assert "ringcast miss%" in out
 
     def test_fig8_reuses_fig6_cache(self, capsys):
-        # The static sweep is already cached from the previous test
-        # (same config): fig8 must render instantly from it.
-        import time
-
-        started = time.perf_counter()
+        # Figs. 6 and 8 are views of the same static runs: RINGCAST
+        # misses nothing in Fig. 6, so in Fig. 8 it reaches all N - 1
+        # other nodes at every fanout.
         main(["fig8", "--scale", "tiny", "--seed", "3"])
-        elapsed = time.perf_counter() - started
-        assert elapsed < 2.0
-        assert "[fig8]" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[fig8]"
+        rows = [line.split() for line in lines[3:] if line.strip()]
+        assert [row[0] for row in rows] == [str(f) for f in range(1, 9)]
+        assert all(row[4] == "149" for row in rows)
 
     def test_out_directory_written(self, capsys, tmp_path):
         main(
@@ -335,15 +353,44 @@ class TestCli:
         assert (tmp_path / "fig6.dat").exists()
 
     def test_fig7_reuses_static_cache(self, capsys):
-        import time
-
-        started = time.perf_counter()
+        # Fig. 7 reads the static runs Fig. 6 does: RINGCAST reaches
+        # everyone, so its not-reached% ends at 0 for every fanout.
         main(["fig7", "--scale", "tiny", "--seed", "3"])
-        elapsed = time.perf_counter() - started
         out = capsys.readouterr().out
-        assert elapsed < 3.0
-        assert "fanout 2:" in out
-        assert "not-reached%" in out
+        blocks = out.strip().split("\n\n")
+        assert blocks[0] == "[fig7]"
+        assert [block.splitlines()[0] for block in blocks[1:]] == [
+            "fanout 2:",
+            "fanout 3:",
+            "fanout 5:",
+        ]
+        for block in blocks[1:]:
+            assert block.splitlines()[1].endswith("ringcast not-reached%")
+            assert block.splitlines()[-1].split()[-1] == "0"
+
+    def test_fig9_out_matches_all_out(self, capsys, monkeypatch, tmp_path):
+        # One table lists the figures, so `repro fig9 --out` writes the
+        # same files, byte for byte, as `repro all --out`.
+        import repro.cli
+        from tests.conftest import QUICK_FIGURE_CONFIG
+
+        monkeypatch.setattr(
+            repro.cli, "scale_config", lambda scale, seed: QUICK_FIGURE_CONFIG
+        )
+        main(["fig9", "--out", str(tmp_path / "fig9")])
+        main(["all", "--out", str(tmp_path / "all")])
+        capsys.readouterr()
+        fig9 = {path.name for path in (tmp_path / "fig9").iterdir()}
+        assert fig9 == {
+            "fig9_kill01.txt",
+            "fig9_kill02.txt",
+            "fig9_kill05.txt",
+            "fig9_kill10.txt",
+        }
+        for name in fig9:
+            assert (tmp_path / "fig9" / name).read_bytes() == (
+                tmp_path / "all" / name
+            ).read_bytes()
 
     def test_demo_runs(self, capsys):
         code = main(["demo", "--seed", "2"])

@@ -7,41 +7,42 @@ the qualitative claim of the corresponding paper figure at tiny scale.
 import pytest
 
 from repro.experiments import figures as fig
-from repro.experiments.config import ExperimentConfig
+from repro.experiments import scenarios
+from repro.experiments.scenarios import ScenarioRuns
+from tests.conftest import FIGURE_CONFIG as CONFIG
+from tests.conftest import QUICK_FIGURE_CONFIG as QUICK
 
-CONFIG = ExperimentConfig(
-    num_nodes=150,
-    warmup_cycles=60,
-    num_messages=10,
-    num_networks=1,
-    fanouts=(1, 2, 3, 4, 5, 6, 8),
-    seed=23,
-    churn_rate=0.01,
-    churn_networks=1,
-    churn_max_cycles=900,
-)
+def count_runs(monkeypatch):
+    """Count the calls of the three scenario runners, by argument."""
+    calls = []
+    for name in (
+        "run_static_scenario",
+        "run_catastrophic_scenario",
+        "run_churn_scenario",
+    ):
+        real = getattr(scenarios, name)
 
+        def counted(config, spec, *args, _name=name, _real=real):
+            calls.append((_name, spec.kind, *args))
+            return _real(config, spec, *args)
 
-@pytest.fixture(scope="module", autouse=True)
-def fresh_caches():
-    fig.clear_caches()
-    yield
-    fig.clear_caches()
-
-
-@pytest.fixture(scope="module")
-def fig6():
-    return fig.figure6(CONFIG)
+        monkeypatch.setattr(scenarios, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
-def fig9():
-    return fig.figure9(CONFIG, kill_fractions=(0.05,))
+def fig6(figure_runs):
+    return fig.figure6(figure_runs)
 
 
 @pytest.fixture(scope="module")
-def fig11():
-    return fig.figure11(CONFIG)
+def fig9(figure_runs):
+    return fig.figure9(figure_runs, kill_fractions=(0.05,))
+
+
+@pytest.fixture(scope="module")
+def fig11(figure_runs):
+    return fig.figure11(figure_runs)
 
 
 class TestFigure6:
@@ -62,64 +63,64 @@ class TestFigure6:
 
 
 class TestFigure7:
-    def test_series_reach_zero_for_ringcast(self):
-        data = fig.figure7(CONFIG)
+    def test_series_reach_zero_for_ringcast(self, figure_runs):
+        data = fig.figure7(figure_runs)
         for fanout in data.fanouts:
             series = data.mean_series["ringcast"][fanout]
             assert series[-1] == 0.0
 
-    def test_higher_fanout_fewer_hops(self):
-        data = fig.figure7(CONFIG)
+    def test_higher_fanout_fewer_hops(self, figure_runs):
+        data = fig.figure7(figure_runs)
         lengths = {
             fanout: len(data.mean_series["ringcast"][fanout])
             for fanout in data.fanouts
         }
         assert lengths[2] > lengths[5]
 
-    def test_protocols_track_until_saturation(self):
-        data = fig.figure7(CONFIG)
+    def test_protocols_track_until_saturation(self, figure_runs):
+        data = fig.figure7(figure_runs)
         rand = data.mean_series["randcast"][3]
         ring = data.mean_series["ringcast"][3]
         # Hop 1 reach is identical by construction (both send F msgs).
         assert rand[1] == pytest.approx(ring[1], abs=1.0)
 
-    def test_uses_available_fanouts_only(self):
-        data = fig.figure7(CONFIG)
+    def test_uses_available_fanouts_only(self, figure_runs):
+        data = fig.figure7(figure_runs)
         assert set(data.fanouts) <= set(CONFIG.fanouts)
         assert 10 not in data.fanouts
 
 
 class TestFigure8:
-    def test_total_messages_scale_with_fanout(self):
-        data = fig.figure8(CONFIG)
+    def test_total_messages_scale_with_fanout(self, figure_runs):
+        data = fig.figure8(figure_runs)
         totals = data.total("ringcast")
         n = CONFIG.num_nodes
         for fanout, total in zip(data.fanouts, totals):
             if fanout >= 2:
                 assert total == pytest.approx(fanout * n, rel=0.02)
 
-    def test_virgin_messages_cap_at_population(self):
-        data = fig.figure8(CONFIG)
+    def test_virgin_messages_cap_at_population(self, figure_runs):
+        data = fig.figure8(figure_runs)
         for protocol in ("randcast", "ringcast"):
             assert all(
                 v <= CONFIG.num_nodes - 1 + 1e-9
                 for v in data.virgin[protocol]
             )
 
-    def test_ringcast_virgin_equals_n_minus_one(self):
-        data = fig.figure8(CONFIG)
+    def test_ringcast_virgin_equals_n_minus_one(self, figure_runs):
+        data = fig.figure8(figure_runs)
         assert all(
             v == pytest.approx(CONFIG.num_nodes - 1)
             for v in data.virgin["ringcast"]
         )
 
-    def test_redundancy_grows_with_fanout(self):
-        data = fig.figure8(CONFIG)
+    def test_redundancy_grows_with_fanout(self, figure_runs):
+        data = fig.figure8(figure_runs)
         redundant = data.redundant["ringcast"]
         assert redundant[-1] > redundant[1]
 
-    def test_no_dead_messages_in_static(self):
-        data = fig.figure8(CONFIG)
+    def test_no_dead_messages_in_static(self, figure_runs):
+        data = fig.figure8(figure_runs)
         assert all(d == 0 for d in data.to_dead["ringcast"])
         assert all(d == 0 for d in data.to_dead["randcast"])
 
@@ -141,20 +142,62 @@ class TestFigure9:
     def test_labels(self, fig9):
         assert fig9[0.05].label == "fig9@5%"
 
+    def test_labels_round_to_the_nearest_percent(self):
+        # 0.29 * 100 is 28.999…: truncating would print 28% and give
+        # 0.56 and 0.57 one table name.
+        figures = fig.figure9(
+            ScenarioRuns(QUICK), kill_fractions=(0.29, 0.56, 0.57)
+        )
+        assert [data.label for data in figures.values()] == [
+            "fig9@29%",
+            "fig9@56%",
+            "fig9@57%",
+        ]
+
 
 class TestFigure10:
-    def test_progress_floor_nonzero_at_low_fanout(self, fig9):
-        data = fig.figure10(CONFIG, kill_fraction=0.05)
+    def test_progress_floor_nonzero_at_low_fanout(self, figure_runs):
+        data = fig.figure10(figure_runs, kill_fraction=0.05)
         rand_final = data.mean_series["randcast"][2][-1]
         ring_final = data.mean_series["ringcast"][2][-1]
         assert ring_final <= rand_final
 
-    def test_reuses_catastrophic_cache(self, fig9):
-        # figure9(0.05) already ran; figure10 must not rebuild (the
-        # cache keeps one entry per (config, kind, fraction)).
-        before = dict(fig._CATASTROPHIC_CACHE)
-        fig.figure10(CONFIG, kill_fraction=0.05)
-        assert dict(fig._CATASTROPHIC_CACHE) == before
+    def test_reuses_catastrophic_cache(self, monkeypatch):
+        # Figs. 9 and 10 read the same catastrophic runs: figure10
+        # computes nothing that figure9 already did.
+        calls = count_runs(monkeypatch)
+        runs = ScenarioRuns(QUICK)
+        fig.figure9(runs)
+        fig.figure10(runs, kill_fraction=0.05)
+        assert len(calls) == len(set(calls)) == 8
+
+
+class TestScenarioRuns:
+    def test_each_run_computed_once(self, monkeypatch):
+        calls = count_runs(monkeypatch)
+        runs = ScenarioRuns(QUICK)
+        for render in fig.FIGURES.values():
+            render(runs)
+        for render in fig.FIGURES.values():
+            render(runs)
+        assert sorted(calls) == sorted(
+            [("run_static_scenario", kind) for kind in scenarios.PROTOCOLS]
+            + [
+                ("run_catastrophic_scenario", kind, fraction)
+                for kind in scenarios.PROTOCOLS
+                for fraction in scenarios.PAPER_KILL_FRACTIONS
+            ]
+            + [("run_churn_scenario", kind) for kind in scenarios.PROTOCOLS]
+        )
+        # Everything is computed already: prefetching adds nothing.
+        runs.prefetch(workers=2)
+        assert len(calls) == 12
+
+    def test_prefetch_rejects_zero_workers(self):
+        from repro.common.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="workers"):
+            ScenarioRuns(QUICK).prefetch(workers=0)
 
 
 class TestFigure11:
@@ -170,13 +213,13 @@ class TestFigure11:
 
 
 class TestFigure12:
-    def test_counts_sum_to_population_times_networks(self, fig11):
-        data = fig.figure12(CONFIG)
+    def test_counts_sum_to_population_times_networks(self, figure_runs):
+        data = fig.figure12(figure_runs)
         expected = CONFIG.num_nodes * CONFIG.churn_networks * 2
         assert sum(count for _lifetime, count in data.series) == expected
 
-    def test_young_nodes_dominate(self, fig11):
-        data = fig.figure12(CONFIG)
+    def test_young_nodes_dominate(self, figure_runs):
+        data = fig.figure12(figure_runs)
         histogram = dict(data.series)
         young = sum(c for l, c in histogram.items() if l <= 100)
         old = sum(c for l, c in histogram.items() if l > 100)
@@ -184,8 +227,8 @@ class TestFigure12:
 
 
 class TestFigure13:
-    def test_ringcast_misses_concentrate_on_young(self, fig11):
-        data = fig.figure13(CONFIG, fanouts=(3,))
+    def test_ringcast_misses_concentrate_on_young(self, figure_runs):
+        data = fig.figure13(figure_runs, fanouts=(3,))
         ring = dict(data.series["ringcast"][3])
         if not ring:
             pytest.skip("no ringcast misses at this scale/seed")
@@ -193,11 +236,11 @@ class TestFigure13:
         old = sum(c for l, c in ring.items() if l > 30)
         assert young >= old
 
-    def test_randcast_misses_spread_over_lifetimes(self, fig11):
-        data = fig.figure13(CONFIG, fanouts=(3,))
+    def test_randcast_misses_spread_over_lifetimes(self, figure_runs):
+        data = fig.figure13(figure_runs, fanouts=(3,))
         rand = dict(data.series["randcast"][3])
         assert any(l > 30 for l in rand)
 
-    def test_only_available_fanouts(self, fig11):
-        data = fig.figure13(CONFIG, fanouts=(3, 99))
+    def test_only_available_fanouts(self, figure_runs):
+        data = fig.figure13(figure_runs, fanouts=(3, 99))
         assert data.fanouts == (3,)

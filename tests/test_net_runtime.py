@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.common.errors import ConfigurationError, ProtocolError
+from repro.experiments.sweep_backends import parse_endpoint
 from repro.net.analyzer import analyze_run, render_net_report
 from repro.net.node import GossipNode, NodeConfig
 from repro.net.wire import (
@@ -25,7 +26,6 @@ from repro.net.wire import (
     AddressBook,
     decode_datagram,
     encode_datagram,
-    parse_endpoint,
     send_publish,
 )
 from tests.net_logs import chain_logs as _chain_logs
@@ -98,9 +98,11 @@ class TestWire:
             decode_datagram(junk)
 
     def test_parse_endpoint(self):
+        # `repro node --bootstrap` and `repro net-send --to` parse with
+        # the sweep's parser, port-range check included.
         assert parse_endpoint("host:99") == ("host", 99)
-        for bad in ("nohost", ":1", "host:x"):
-            with pytest.raises(ProtocolError):
+        for bad in ("nohost", ":1", "host:x", "host:65536", "host:-1"):
+            with pytest.raises(ConfigurationError):
                 parse_endpoint(bad)
 
     def test_address_book(self):

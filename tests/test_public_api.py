@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -39,6 +39,27 @@ class TestTopLevelExports:
             assert name not in repro.dissemination.__all__
         with pytest.raises(ImportError):
             importlib.import_module("repro.dissemination.store")
+
+    def test_names_removed_in_4_0_0_are_gone(self):
+        import repro.experiments.figures
+        import repro.experiments.sweep
+        import repro.experiments.sweep_backends
+        import repro.net.wire
+
+        for module, name in (
+            (repro.experiments, "execute_jobs"),
+            (repro.experiments.sweep, "execute_jobs"),
+            (repro.experiments.figures, "clear_caches"),
+            (repro.experiments.figures, "warm_cache"),
+            (repro.net.wire, "parse_endpoint"),
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in module.__all__
+        for backend in ("SweepBackend", "InlineBackend", "ProcessPoolBackend"):
+            cls = getattr(repro.experiments.sweep_backends, backend)
+            assert not hasattr(cls, "run_jobs"), backend
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.experiments.runner")
 
     @pytest.mark.parametrize(
         "module_name",

@@ -1,22 +1,12 @@
 """Tests for the regenerate-everything orchestrator."""
 
+import hashlib
+
 import pytest
 
-from repro.experiments import figures
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import regenerate_all
-
-CONFIG = ExperimentConfig(
-    num_nodes=120,
-    warmup_cycles=50,
-    num_messages=4,
-    num_networks=1,
-    fanouts=(2, 3, 5),
-    seed=29,
-    churn_rate=0.01,
-    churn_networks=1,
-    churn_max_cycles=700,
-)
+from repro.experiments.figures import regenerate_all
+from repro.experiments.scenarios import ScenarioRuns
+from tests.conftest import QUICK_FIGURE_CONFIG
 
 EXPECTED_NAMES = {
     "fig6",
@@ -32,19 +22,46 @@ EXPECTED_NAMES = {
     "fig13",
 }
 
+# sha256 of every rendered table (and of fig6.dat) at FIGURE_CONFIG.
+# Each scenario run draws from its own RNG universe, so these bytes do not
+# depend on which runs were computed first, in which process, or how
+# the figures share them.
+TABLE_SHA256 = {
+    "fig6": "f6ec6e9a3def5c56e1b120fdf2b64c0dbd45274367361d3295b83f0ab4b4421e",
+    "fig7": "6801fe2fa4bf6e72c8cb445e106057970d02dd79d22b420528408f793e680d44",
+    "fig8": "871d9e622de514dd2c9b31fa50520ae1fec513d3bae58cf08a5dc927cef287ce",
+    "fig9_kill01": "3062ca6a7014a287388121c331aa7243d601cbd0718e9aaf16c3809bbd1a57fd",
+    "fig9_kill02": "f88cccad18ea7e5c38137f4a010ac4186a5f4ac93e2797562ec35ebeedac18b6",
+    "fig9_kill05": "5d93307ba2c853856366f18d4d85790bd8c48bf7172ae5aa10a9a90e7bd1c84e",
+    "fig9_kill10": "9e0dce8a7ebeb92d3e2e4ce308262772293a1b7e2ea0610f0ea0d2b94d88da68",
+    "fig10": "c73d1dbcfaf2f3e64245af40e0514885f47bec84d88eba61e3c925a84c5be440",
+    "fig11": "16eedc7d2b9bd738a58fce755458a23d70bbe8cd8d73cd03c84a2243a94c56ac",
+    "fig12": "ad6d9f0cc592c69072d03bf183c6df768afc0387272aeb1c77d7376838d6111d",
+    "fig13": "35a1a2dba69d888fd8bda7c0661fa5062aec6a6c68998354b1baa9dc55bfb6e2",
+}
+FIG6_DAT_SHA256 = (
+    "daac6c224b5bdde2015d38034d2e7a9a15759925c7b3daf69cd90cf95603e607"
+)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
 
 @pytest.fixture(scope="module")
-def tables(tmp_path_factory):
-    figures.clear_caches()
+def tables(tmp_path_factory, figure_runs):
     out = tmp_path_factory.mktemp("results")
     progress_log = []
     result = regenerate_all(
-        CONFIG,
+        figure_runs,
         out_dir=out,
         progress=lambda name, secs: progress_log.append(name),
     )
-    yield result, out, progress_log
-    figures.clear_caches()
+    assert {
+        name: sha256(text.encode("utf-8")) for name, text in result.items()
+    } == TABLE_SHA256
+    assert sha256((out / "fig6.dat").read_bytes()) == FIG6_DAT_SHA256
+    return result, out, progress_log
 
 
 class TestRegenerateAll:
@@ -72,48 +89,23 @@ class TestRegenerateAll:
         assert "fig9" in log
         assert "fig13" in log
 
-    def test_without_out_dir(self):
-        # Caches are warm from the fixture: this is instantaneous.
-        result = regenerate_all(CONFIG)
-        assert set(result) == EXPECTED_NAMES
+    def test_without_out_dir(self, tables, figure_runs):
+        # The runs are computed by the fixture: this is instantaneous.
+        result, _out, _log = tables
+        assert regenerate_all(figure_runs) == result
 
 
 class TestParallelRegeneration:
-    """``workers > 1`` prewarms scenarios through the sweep engine's
-    process pool; the rendered tables must be identical to serial."""
-
-    SMALL = ExperimentConfig(
-        num_nodes=80,
-        warmup_cycles=30,
-        num_messages=3,
-        num_networks=1,
-        fanouts=(2, 3),
-        seed=31,
-        churn_rate=0.02,
-        churn_networks=1,
-        churn_max_cycles=400,
-    )
+    """``workers > 1`` computes the runs on a process pool first; the
+    rendered tables must be identical to serial."""
 
     def test_parallel_matches_serial(self):
-        figures.clear_caches()
-        serial = regenerate_all(self.SMALL)
-        figures.clear_caches()
+        serial = regenerate_all(ScenarioRuns(QUICK_FIGURE_CONFIG))
         progress_log = []
         parallel = regenerate_all(
-            self.SMALL,
+            ScenarioRuns(QUICK_FIGURE_CONFIG),
             workers=2,
             progress=lambda name, secs: progress_log.append(name),
         )
-        figures.clear_caches()
         assert serial == parallel
-        assert progress_log[0] == "prewarm"
-
-    def test_socket_backend_rejected_for_prewarm(self):
-        # Figure prewarm jobs carry whole scenario/overlay objects,
-        # which don't cross the socket backend's typed JSON wire.
-        from repro.common.errors import ConfigurationError
-
-        figures.clear_caches()
-        with pytest.raises(ConfigurationError, match="generic"):
-            regenerate_all(self.SMALL, workers=2, backend="socket")
-        figures.clear_caches()
+        assert progress_log[0] == "prefetch"

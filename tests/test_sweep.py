@@ -2,8 +2,7 @@
 
 Covers grid expansion, per-trial determinism, worker-count invariance,
 the resume cache, the scenario matrix (including the multi-message and
-pull-recovery workload axes), result serialisation, and the generic
-deterministic-order job pool the figure runner reuses.
+pull-recovery workload axes), and result serialisation.
 """
 
 import json
@@ -19,7 +18,7 @@ from repro.experiments.scenario_matrix import (
     run_trial,
     scenario_names,
 )
-from repro.experiments.sweep import execute_jobs, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_results import (
     SweepResult,
     TrialResult,
@@ -693,30 +692,6 @@ def _noop_executor(spec, config, registry):
         mean_msgs_to_dead=0.0,
         mean_total_messages=0.0,
     )
-
-
-def _square(x):
-    return x * x
-
-
-def _boom():
-    raise ValueError("boom")
-
-
-class TestExecuteJobs:
-    def test_results_in_job_order(self):
-        jobs = [(_square, (n,)) for n in range(6)]
-        assert execute_jobs(jobs, workers=1) == [0, 1, 4, 9, 16, 25]
-        assert execute_jobs(jobs, workers=3) == [0, 1, 4, 9, 16, 25]
-
-    def test_worker_error_propagates(self):
-        with pytest.raises(ValueError):
-            execute_jobs([(_boom, ())], workers=1)
-        with pytest.raises(ValueError):
-            execute_jobs([(_boom, ()), (_square, (2,))], workers=2)
-
-    def test_empty_jobs(self):
-        assert execute_jobs([], workers=4) == []
 
 
 class TestAggregation:

@@ -4,8 +4,8 @@ Covers the socket wire format (framing, chunk-robust decoding, the
 hypothesis round-trip property), backend selection, the golden
 cross-backend byte-identity contract (inline vs process vs socket,
 including under an injected worker crash), worker join/leave/crash
-re-dispatch driven deterministically by in-test fake workers, error
-propagation, and the generic-job path used by the figure runner.
+re-dispatch driven deterministically by in-test fake workers, and error
+propagation.
 """
 
 import socket
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario_matrix import run_trial, scenario_names
-from repro.experiments.sweep import execute_jobs, run_sweep
+from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_spec import flat_spec
 from repro.experiments.sweep_backends import (
     DEFAULT_TRIAL_DEADLINE,
@@ -298,30 +298,6 @@ class TestResolveBackend:
         with pytest.raises(ConfigurationError, match="fixed listen"):
             SocketWorkerBackend(workers=0)
         SocketWorkerBackend(workers=0, listen=("0.0.0.0", 7777))
-
-    def test_generic_jobs_rejected_on_socket(self):
-        with pytest.raises(ConfigurationError, match="generic"):
-            execute_jobs([(_square, (2,))], workers=2, backend="socket")
-
-    def test_generic_jobs_run_on_named_backends(self):
-        jobs = [(_square, (n,)) for n in range(4)]
-        assert execute_jobs(jobs, workers=1, backend="inline") == [
-            0,
-            1,
-            4,
-            9,
-        ]
-        assert execute_jobs(jobs, workers=2, backend="process") == [
-            0,
-            1,
-            4,
-            9,
-        ]
-
-
-def _square(x):
-    return x * x
-
 
 # ----------------------------------------------------------------------
 # golden cross-backend byte-identity
