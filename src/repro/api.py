@@ -282,7 +282,6 @@ def run_sweep(
     spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
-    core: str = "auto",
     snapshot_cache_max_bytes: Optional[int] = None,
     trial_deadline: Optional[float] = None,
     auth_token: Optional[str] = None,
@@ -345,13 +344,11 @@ def run_sweep(
     on-disk size; least-recently-used entries are evicted after each
     write.
 
-    ``core`` selects the dissemination executor: ``"auto"`` (default)
-    switches to the vectorized array core
-    (:mod:`repro.arraysim`) at populations of
-    :data:`~repro.arraysim.ARRAY_CORE_MIN_NODES` and above,
-    ``"object"`` forces the reference executor everywhere
-    (byte-identical to historical sweeps at any size), and ``"array"``
-    forces the array core. See ``docs/performance.md``.
+    Dissemination runs on the vectorized array core
+    (:mod:`repro.arraysim`) from
+    :data:`~repro.arraysim.ARRAY_CORE_MIN_NODES` alive nodes up and on
+    the reference object executor below; the overlay decides, not an
+    option. See ``docs/performance.md``.
 
     Scenario names come from
     :mod:`repro.experiments.scenario_matrix` (``static``,
@@ -392,7 +389,6 @@ def run_sweep(
         listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=overlay_reuse,
-        core=core,
         snapshot_cache_max_bytes=snapshot_cache_max_bytes,
         trial_deadline=trial_deadline,
         auth_token=auth_token,
@@ -400,7 +396,7 @@ def run_sweep(
     if history is None:
         return _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
     digest = config_fingerprint(base)
-    mode = history_mode(overlay_reuse=overlay_reuse, core=core)
+    mode = history_mode(overlay_reuse=overlay_reuse)
     hit = load_history_entry(history, grid, base.seed, digest, mode)
     if hit is not None:
         return hit.result
@@ -426,7 +422,6 @@ def run_adaptive_sweep(
     spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
-    core: str = "auto",
     snapshot_cache_max_bytes: Optional[int] = None,
     trial_deadline: Optional[float] = None,
     auth_token: Optional[str] = None,
@@ -480,7 +475,6 @@ def run_adaptive_sweep(
         listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=overlay_reuse,
-        core=core,
         snapshot_cache_max_bytes=snapshot_cache_max_bytes,
         trial_deadline=trial_deadline,
         auth_token=auth_token,
@@ -490,9 +484,7 @@ def run_adaptive_sweep(
     if history is not None:
         digest = config_fingerprint(base)
         mode = history_mode(
-            overlay_reuse=overlay_reuse,
-            core=core,
-            adaptive=settings.to_dict(),
+            overlay_reuse=overlay_reuse, adaptive=settings.to_dict()
         )
         hit = load_history_entry(history, grid, base.seed, digest, mode)
         if hit is not None:

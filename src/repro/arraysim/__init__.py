@@ -18,7 +18,15 @@ Two RNG regimes share the vectorized frontier machinery:
 
 The :mod:`~repro.arraysim.codec` module packs snapshots into compact
 ``.npz`` payloads so the snapshot store can persist large overlays.
+
+Sweeps and figures pick the core from the overlay, by one rule
+(:func:`uses_array_core`): the array core runs from
+:data:`ARRAY_CORE_MIN_NODES` alive nodes up, for the built-in policies;
+everything smaller stays on the reference object executor. The array
+core stays directly callable as :func:`disseminate_many`.
 """
+
+from typing import Optional
 
 from repro.arraysim.codec import (
     CODEC_FORMAT,
@@ -27,13 +35,13 @@ from repro.arraysim.codec import (
     encode_snapshot,
 )
 from repro.arraysim.engine import (
-    ARRAY_CORE_MIN_NODES,
     disseminate,
     disseminate_many,
     numpy_targets_rng,
     supports_policy,
 )
 from repro.arraysim.overlay import ArrayOverlay
+from repro.dissemination.policies import TargetPolicy
 
 __all__ = [
     "ARRAY_CORE_MIN_NODES",
@@ -46,4 +54,27 @@ __all__ = [
     "encode_snapshot",
     "numpy_targets_rng",
     "supports_policy",
+    "uses_array_core",
 ]
+
+#: Dissemination over at least this many alive nodes runs on the array
+#: core (see :func:`uses_array_core`).
+ARRAY_CORE_MIN_NODES = 50_000
+
+
+def uses_array_core(
+    population: int, policy: Optional[TargetPolicy] = None
+) -> bool:
+    """Whether dissemination over ``population`` alive nodes runs on
+    the array core: the one selection rule.
+
+    The threshold is :data:`ARRAY_CORE_MIN_NODES`, and ``policy``, when
+    given, must be one the array core implements
+    (:func:`supports_policy`). Every seed-scale run, and so every
+    committed golden, stays on the object executor. Callers that know
+    only a trial's size (the trial-cache digest tag, the socket
+    server's worker gate) pass no policy.
+    """
+    return population >= ARRAY_CORE_MIN_NODES and (
+        policy is None or supports_policy(policy)
+    )

@@ -46,16 +46,11 @@ from repro.dissemination.policies import (
 )
 
 __all__ = [
-    "ARRAY_CORE_MIN_NODES",
     "disseminate",
     "disseminate_many",
     "numpy_targets_rng",
     "supports_policy",
 ]
-
-#: Auto-selection threshold: ``core="auto"`` switches a trial to the
-#: array core once the snapshot population reaches this many nodes.
-ARRAY_CORE_MIN_NODES = 50_000
 
 _MODE_FOR_POLICY = {
     FloodingPolicy: "flooding",

@@ -378,7 +378,6 @@ def _run_sweep(args) -> None:
         listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=args.overlay_reuse,
-        core=args.core,
         snapshot_cache_max_bytes=args.snapshot_cache_max_bytes,
         trial_deadline=args.trial_deadline,
         auth_token=args.auth_token,
@@ -1014,16 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="size cap for the overlay snapshot store; least-recently-"
         "used entries are evicted after each write (default: unbounded)",
-    )
-    sub.add_argument(
-        "--core",
-        choices=("auto", "object", "array"),
-        default="auto",
-        help="dissemination core: 'auto' (default) runs the vectorized "
-        "array core at 50k+ nodes and the reference object core below, "
-        "'object' forces the reference executor everywhere (byte-"
-        "identical to historical sweeps), 'array' forces the array "
-        "core (see docs/performance.md)",
     )
     sub.add_argument(
         "--json",

@@ -23,8 +23,8 @@ their tables to ``results/`` with the scale in the file name
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -134,8 +134,21 @@ class ExperimentConfig:
         if not 0.0 <= self.churn_rate < 1.0:
             raise ConfigurationError("churn_rate must be in [0, 1)")
 
+    @classmethod
+    def check_override_names(cls, names: Iterable[str]) -> None:
+        """Raise :class:`ConfigurationError` for a name that is not a
+        field — the api keyword and the spec-file key alike."""
+        known = {f.name for f in fields(cls)}
+        for name in names:
+            if name not in known:
+                raise ConfigurationError(
+                    f"unknown config override {name!r}; expected an "
+                    f"ExperimentConfig field"
+                )
+
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """A copy with the given fields replaced."""
+        self.check_override_names(kwargs)
         return replace(self, **kwargs)
 
 

@@ -11,8 +11,8 @@ either.
 The **identity** of an entry is the canonical JSON of ``{format,
 fingerprint, root_seed, config, mode}`` — ``fingerprint`` is
 ``SweepSpec.fingerprint()``, ``config`` the effective-config digest and
-``mode`` the run mode (overlay reuse, dissemination core, and the
-adaptive-allocation settings when used), all of which change output
+``mode`` the run mode (overlay reuse, the fixed ``"core": "auto"``
+field, and the adaptive-allocation settings when used), all of which change output
 bytes and therefore key the store. Entry files are framed, read,
 written and evicted by :mod:`repro.common.castore` (``RHISTZ1`` magic,
 sealed, no trailing newline); on top of its miss-never-crash read,
@@ -75,7 +75,9 @@ def history_mode(
 
     Everything here changes result bytes for the *same* spec + seed +
     config, so two runs differing in any of it must occupy distinct
-    history entries.
+    history entries. ``core`` is ``"auto"`` for every sweep since the
+    overlay picks the dissemination core; it stays in the dict because
+    every stored history address hashes it.
     """
     mode: Dict[str, Any] = {"overlay_reuse": overlay_reuse, "core": core}
     if adaptive is not None:

@@ -73,7 +73,6 @@ from repro.metrics.dissemination import summarize_runs
 __all__ = [
     "ParamSpec",
     "ScenarioSchema",
-    "current_core",
     "execute_trial",
     "register_scenario",
     "registered_params",
@@ -427,27 +426,12 @@ class _OverlayContext:
 # server's handler threads never execute trials.
 _OVERLAY_CONTEXT: Optional[_OverlayContext] = None
 
-# The dissemination core requested for the trial the current thread is
-# executing ("auto" | "object" | "array"); same save/restore discipline
-# as _OVERLAY_CONTEXT. Scenario executors reach it via current_core(),
-# so runtime-registered scenarios that disseminate through
-# _disseminate_batch/sweep_snapshot inherit the selection with no
-# signature changes.
-_CORE_CONTEXT: str = "auto"
-
-
-def current_core() -> str:
-    """The dissemination core selection active for the running trial."""
-    return _CORE_CONTEXT
-
-
 def execute_trial(
     executor: TrialExecutor,
     spec: TrialSpec,
     config: ExperimentConfig,
     root_seed: int,
     overlay_provider=None,
-    core: str = "auto",
 ) -> TrialResult:
     """Run ``executor`` on one trial in a fresh RNG universe.
 
@@ -472,17 +456,14 @@ def execute_trial(
     """
     registry = RngRegistry(root_seed).spawn(spec.key)
     effective = trial_config(spec, config, root_seed)
-    global _OVERLAY_CONTEXT, _CORE_CONTEXT
+    global _OVERLAY_CONTEXT
     previous = _OVERLAY_CONTEXT
-    previous_core = _CORE_CONTEXT
     if overlay_provider is not None:
         _OVERLAY_CONTEXT = _OverlayContext(overlay_provider, root_seed)
-    _CORE_CONTEXT = core
     try:
         return executor(spec, effective, registry)
     finally:
         _OVERLAY_CONTEXT = previous
-        _CORE_CONTEXT = previous_core
 
 
 def run_trial(
@@ -490,7 +471,6 @@ def run_trial(
     config: ExperimentConfig,
     root_seed: int,
     overlay_provider=None,
-    core: str = "auto",
 ) -> TrialResult:
     """Look up the spec's scenario in this process and execute it."""
     return execute_trial(
@@ -499,7 +479,6 @@ def run_trial(
         config,
         root_seed,
         overlay_provider=overlay_provider,
-        core=core,
     )
 
 
@@ -546,7 +525,6 @@ def _disseminate_batch(
         registry,
         collect_load=collect_load,
         fanouts=(spec.fanout,),
-        core=_CORE_CONTEXT,
     )
     return sweep.runs[spec.fanout]
 

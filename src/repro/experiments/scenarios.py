@@ -44,12 +44,10 @@ from repro.metrics.dissemination import (
 
 __all__ = [
     "ChurnOutcome",
-    "DISSEMINATION_CORES",
     "FanoutSweep",
     "ScenarioRuns",
     "build_churned_overlay",
     "build_static_overlay",
-    "resolve_core",
     "run_catastrophic_scenario",
     "run_churn_scenario",
     "run_static_scenario",
@@ -86,45 +84,6 @@ class FanoutSweep:
         return aggregate_progress(self.runs.get(fanout, []))
 
 
-DISSEMINATION_CORES = ("auto", "object", "array")
-
-
-def resolve_core(
-    core: str, snapshot: OverlaySnapshot, policy: TargetPolicy
-) -> str:
-    """Pick the dissemination core that will actually run.
-
-    ``"object"`` is the reference executor; ``"array"`` forces the
-    vectorized :mod:`repro.arraysim` core (raising when the policy is
-    not expressible there); ``"auto"`` switches to the array core only
-    above :data:`~repro.arraysim.ARRAY_CORE_MIN_NODES` alive nodes and
-    only for the built-in policies, so every seed-scale run (and every
-    committed golden) stays on the byte-identical object path.
-    """
-    if core not in DISSEMINATION_CORES:
-        raise ConfigurationError(
-            f"unknown dissemination core {core!r}; expected one of "
-            f"{DISSEMINATION_CORES}"
-        )
-    if core == "object":
-        return "object"
-    from repro.arraysim import ARRAY_CORE_MIN_NODES, supports_policy
-
-    if core == "array":
-        if not supports_policy(policy):
-            raise ConfigurationError(
-                f"policy {policy.name!r} is not supported by the array "
-                "core; run it with core='object'"
-            )
-        return "array"
-    if (
-        snapshot.population >= ARRAY_CORE_MIN_NODES
-        and supports_policy(policy)
-    ):
-        return "array"
-    return "object"
-
-
 def sweep_snapshot(
     snapshot: OverlaySnapshot,
     config: ExperimentConfig,
@@ -132,22 +91,23 @@ def sweep_snapshot(
     policy: Optional[TargetPolicy] = None,
     collect_load: bool = False,
     fanouts: Optional[Tuple[int, ...]] = None,
-    core: str = "auto",
 ) -> FanoutSweep:
     """Post ``num_messages`` messages per fanout over a frozen snapshot.
 
-    ``core`` selects the dissemination executor (see
-    :func:`resolve_core`). The array core posts each fanout's whole
-    message batch through one vectorized frontier; origins are drawn
-    from the same ``origins`` stream in the same order as the object
-    path, while target selection moves to a dedicated numpy stream —
-    statistically equivalent, and still bit-identical for flooding
-    (which never draws).
+    The overlay picks the executor
+    (:func:`repro.arraysim.uses_array_core`). The array core posts each
+    fanout's whole message batch through one vectorized frontier;
+    origins are drawn from the same ``origins`` stream in the same
+    order as the object path, while target selection moves to a
+    dedicated numpy stream — statistically equivalent, and still
+    bit-identical for flooding (which never draws).
     """
     chosen_policy = policy if policy is not None else policy_for_snapshot(
         snapshot
     )
-    if resolve_core(core, snapshot, chosen_policy) == "array":
+    from repro.arraysim import uses_array_core
+
+    if uses_array_core(snapshot.population, chosen_policy):
         return _sweep_snapshot_array(
             snapshot, config, registry, chosen_policy, collect_load, fanouts
         )

@@ -39,7 +39,6 @@ from repro.experiments.scenario_matrix import (
     resolve_scenario,
     trial_config,
 )
-from repro.experiments.scenarios import DISSEMINATION_CORES
 from repro.experiments.snapshot_store import (
     OVERLAY_REUSE_MODES,
     SnapshotProvider,
@@ -108,7 +107,6 @@ def run_sweep(
     listen: Optional[Tuple[str, int]] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
-    core: str = "auto",
     snapshot_cache_max_bytes: Optional[int] = None,
     trial_deadline: Optional[float] = None,
     auth_token: Optional[str] = None,
@@ -151,13 +149,6 @@ def run_sweep(
             paper's own freeze-once-sweep-fanouts methodology, still
             fully deterministic and backend-independent, but a
             different experiment design than ``"trial"``.
-        core: Dissemination core selection — ``"auto"`` (default)
-            runs the vectorized array core only at populations of
-            :data:`~repro.arraysim.ARRAY_CORE_MIN_NODES` and above,
-            ``"object"`` forces the reference executor everywhere
-            (byte-identical to historical sweeps at any size), and
-            ``"array"`` forces the array core (rejecting policies it
-            cannot express). See ``docs/performance.md``.
         snapshot_cache_max_bytes: Size cap for the on-disk snapshot
             store; least-recently-used entries are evicted after each
             write to keep the directory under the cap. ``None`` means
@@ -175,11 +166,6 @@ def run_sweep(
         raise ConfigurationError(
             f"unknown overlay_reuse {overlay_reuse!r}; expected one of "
             f"{OVERLAY_REUSE_MODES}"
-        )
-    if core not in DISSEMINATION_CORES:
-        raise ConfigurationError(
-            f"unknown dissemination core {core!r}; expected one of "
-            f"{DISSEMINATION_CORES}"
         )
     provider = (
         SnapshotProvider(
@@ -205,33 +191,20 @@ def run_sweep(
     # (or vice versa) would silently mix the two designs in one JSON.
     # The default mode keeps the bare fingerprint so pre-existing
     # caches stay valid. The same goes for the dissemination core: a
-    # trial that runs (or could run) on the array core produces
-    # different bytes than the historical object path, so its digest
-    # is tagged — while object-core trials (the default below the
-    # auto threshold) keep the bare fingerprint and stay resumable
-    # from pre-core caches.
+    # trial large enough for the array core produces different bytes
+    # than the object path, so its digest is tagged — while trials
+    # below the threshold keep the bare fingerprint.
     mode_tag = "" if overlay_reuse == "trial" else f"overlay={overlay_reuse}:"
+    digests: Dict[TrialSpec, str] = {}
+    if cache_dir is not None:
+        from repro.arraysim import uses_array_core
 
-    def _core_tag(spec: TrialSpec) -> str:
-        if core == "array":
-            return "core=array:"
-        if core == "auto":
-            from repro.arraysim import ARRAY_CORE_MIN_NODES
-
-            if spec.num_nodes >= ARRAY_CORE_MIN_NODES:
-                return "core=array:"
-        return ""
-
-    digests = (
-        {
-            spec: mode_tag
-            + _core_tag(spec)
-            + config_fingerprint(trial_config(spec, config, root_seed))
-            for spec in specs
-        }
-        if cache_dir is not None
-        else {}
-    )
+        for spec in specs:
+            digests[spec] = (
+                mode_tag
+                + ("core=array:" if uses_array_core(spec.num_nodes) else "")
+                + config_fingerprint(trial_config(spec, config, root_seed))
+            )
 
     results: Dict[int, TrialResult] = {}
     pending: List[Tuple[int, TrialSpec]] = []
@@ -271,7 +244,6 @@ def run_sweep(
             executors,
             finish,
             provider=provider,
-            core=core,
         )
 
     ordered = tuple(results[index] for index in range(len(specs)))

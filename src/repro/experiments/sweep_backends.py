@@ -408,7 +408,6 @@ def run_timed_trial(
     root_seed: int,
     executor: Callable,
     provider: Optional[SnapshotProvider] = None,
-    core: str = "auto",
 ) -> Tuple[TrialResult, float]:
     """Run one trial with the given executor, timing it where it runs."""
     started = time.perf_counter()
@@ -418,7 +417,6 @@ def run_timed_trial(
         config,
         root_seed,
         overlay_provider=provider,
-        core=core,
     )
     return result, time.perf_counter() - started
 
@@ -429,7 +427,6 @@ def run_timed_trial_group(
     root_seed: int,
     executors: TrialExecutors,
     provider: Optional[SnapshotProvider],
-    core: str = "auto",
 ) -> List[Tuple[int, TrialResult, float]]:
     """Run trials sharing one overlay sequentially in this process.
 
@@ -446,7 +443,6 @@ def run_timed_trial_group(
             root_seed,
             executors[spec.scenario],
             provider,
-            core,
         )
         out.append((index, result, seconds))
     return out
@@ -491,8 +487,6 @@ class SweepBackend(ABC):
     :class:`~repro.experiments.snapshot_store.SnapshotProvider`, or
     ``None`` when the overlay snapshot store / overlay reuse is off)
     is threaded to the trial executors so warm-ups can be skipped.
-    ``core`` selects the dissemination core (see
-    :func:`repro.experiments.scenarios.resolve_core`).
     """
 
     name: str = "abstract"
@@ -506,7 +500,6 @@ class SweepBackend(ABC):
         executors: TrialExecutors,
         finish: FinishHook,
         provider: Optional[SnapshotProvider] = None,
-        core: str = "auto",
     ) -> None:
         """Execute every ``(index, spec)`` pair and report via ``finish``."""
 
@@ -524,7 +517,6 @@ class InlineBackend(SweepBackend):
         executors,
         finish,
         provider=None,
-        core="auto",
     ) -> None:
         for index, spec in pending:
             result, seconds = run_timed_trial(
@@ -533,7 +525,6 @@ class InlineBackend(SweepBackend):
                 root_seed,
                 executors[spec.scenario],
                 provider,
-                core,
             )
             finish(index, spec, result, seconds)
 
@@ -558,49 +549,10 @@ class ProcessPoolBackend(SweepBackend):
         executors,
         finish,
         provider=None,
-        core="auto",
-    ) -> None:
-        if self.workers == 1 or len(pending) <= 1:
-            # A one-wide pool is pure overhead; run inline.
-            InlineBackend().run_trials(
-                pending, config, root_seed, executors, finish, provider,
-                core,
-            )
-            return
-        if provider is not None:
-            self._run_grouped(
-                pending, config, root_seed, executors, finish, provider,
-                core,
-            )
-            return
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(
-                    run_timed_trial,
-                    spec,
-                    config,
-                    root_seed,
-                    executors[spec.scenario],
-                    None,
-                    core,
-                ): (index, spec)
-                for index, spec in pending
-            }
-            for future in as_completed(futures):
-                index, spec = futures[future]
-                result, seconds = future.result()
-                finish(index, spec, result, seconds)
-
-    def _run_grouped(
-        self, pending, config, root_seed, executors, finish, provider,
-        core="auto",
     ) -> None:
         """Overlay-aware dispatch: each shared overlay is built by
-        exactly one worker. With ``overlay_reuse="trial"`` every group
-        is a singleton and this degenerates to the plain per-trial
-        dispatch above.
+        exactly one worker. Without a provider, and under
+        ``overlay_reuse="trial"``, every trial is its own group.
 
         When there are at least as many overlay groups as workers, one
         pool task per group keeps every core busy. When groups are
@@ -612,8 +564,16 @@ class ProcessPoolBackend(SweepBackend):
         stored overlay. Without a disk store the sibling processes
         could not share the build, so grouped dispatch is kept there.
         """
-        groups = group_pending_by_overlay(
-            pending, config, root_seed, provider
+        if self.workers == 1 or len(pending) <= 1:
+            # A one-wide pool is pure overhead; run inline.
+            InlineBackend().run_trials(
+                pending, config, root_seed, executors, finish, provider
+            )
+            return
+        groups = (
+            group_pending_by_overlay(pending, config, root_seed, provider)
+            if provider is not None
+            else [[item] for item in pending]
         )
         specs_by_index = {index: spec for index, spec in pending}
         width = min(self.workers, len(pending))
@@ -624,7 +584,9 @@ class ProcessPoolBackend(SweepBackend):
                 for scenario in {spec.scenario for _idx, spec in items}
             }
 
-        if provider.store_dir is None or len(groups) >= width:
+        # Singleton groups (always the case without a provider) never
+        # leave the pool short of work.
+        if len(groups) >= width or provider.store_dir is None:
             with ProcessPoolExecutor(
                 max_workers=min(width, len(groups))
             ) as pool:
@@ -636,7 +598,6 @@ class ProcessPoolBackend(SweepBackend):
                         root_seed,
                         executors_for(group),
                         provider,
-                        core,
                     )
                     for group in groups
                 ]
@@ -663,7 +624,6 @@ class ProcessPoolBackend(SweepBackend):
                         root_seed,
                         executors[spec.scenario],
                         provider,
-                        core,
                     ): (index, spec)
                     for index, spec in phase
                 }
@@ -688,7 +648,6 @@ class _ServerState:
         config: ExperimentConfig,
         root_seed: int,
         provider: Optional[SnapshotProvider] = None,
-        core: str = "auto",
         auth_token: Optional[str] = None,
     ) -> None:
         self.auth_token = auth_token
@@ -701,27 +660,18 @@ class _ServerState:
         self.config_wire = config_to_wire(config)
         self.root_seed = root_seed
         self.provider = provider
-        self.core = core
-        # Whether any pending trial could resolve to the array
-        # dissemination core: a worker predating core selection would
-        # run such a trial on the object core — silently different
-        # numbers depending on who got the trial — so it must be
-        # turned away at the handshake.
-        self.needs_array_core = core == "array" or (
-            core == "auto" and self._any_array_scale(pending)
+        # Whether any pending trial could run on the array dissemination
+        # core: a worker predating the array core would run such a trial
+        # on the object core — silently different numbers depending on
+        # who got the trial — so it must be turned away at the handshake.
+        from repro.arraysim import uses_array_core
+
+        self.needs_array_core = any(
+            uses_array_core(spec.num_nodes) for _index, spec in pending
         )
         self.connections_seen = 0
         self.active_handlers = 0
         self.lock = threading.Lock()
-
-    @staticmethod
-    def _any_array_scale(pending: PendingTrials) -> bool:
-        from repro.arraysim import ARRAY_CORE_MIN_NODES
-
-        return any(
-            spec.num_nodes >= ARRAY_CORE_MIN_NODES
-            for _index, spec in pending
-        )
 
 
 class SocketWorkerBackend(SweepBackend):
@@ -779,7 +729,7 @@ class SocketWorkerBackend(SweepBackend):
         trial_deadline: float = DEFAULT_TRIAL_DEADLINE,
         auth_token: Optional[str] = None,
     ) -> None:
-        if trial_deadline <= 0:
+        if not trial_deadline > 0:  # also rejects NaN
             raise ConfigurationError(
                 f"trial_deadline must be > 0, got {trial_deadline}"
             )
@@ -1030,8 +980,6 @@ class SocketWorkerBackend(SweepBackend):
                     "spec": spec.to_dict(),
                     "config": state.config_wire,
                 }
-                if state.core != "auto":
-                    message["core"] = state.core
                 if deflate:
                     # Tells the worker it may deflate its result
                     # frames back to us.
@@ -1169,12 +1117,11 @@ class SocketWorkerBackend(SweepBackend):
         executors,
         finish,
         provider=None,
-        core="auto",
     ) -> None:
         if not pending:
             return
         state = _ServerState(
-            pending, config, root_seed, provider, core,
+            pending, config, root_seed, provider,
             auth_token=self.auth_token,
         )
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -1422,13 +1369,21 @@ def run_worker(
             spec = TrialSpec.from_dict(message["spec"])
             config = config_from_wire(message["config"])
             root_seed = int(message["root_seed"])
-            core = str(message.get("core", "auto"))
             # The server deflates frames to us only after our hello;
             # symmetrically, deflate replies only when the server
             # says (per trial) that it decodes them.
             deflate = bool(message.get("deflate"))
             started = time.perf_counter()
             try:
+                # A pre-5.0 server sends ``core`` only to force a core
+                # the threshold rule would not pick; running the trial
+                # anyway would cache numbers under the other core's
+                # digest, so it is a trial error, like an unknown mode.
+                if message.get("core", "auto") != "auto":
+                    raise ConfigurationError(
+                        f"trial frame forces core {message['core']!r}; "
+                        "this worker picks the core from the population"
+                    )
                 provider = None
                 overlay = message.get("overlay")
                 if isinstance(overlay, dict):
@@ -1457,7 +1412,6 @@ def run_worker(
                     config,
                     root_seed,
                     overlay_provider=provider,
-                    core=core,
                 )
             except Exception as exc:  # deterministic: report, don't retry
                 conn.sendall(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -92,10 +92,6 @@ ParamValue = Union[int, float]
 ParamAxes = Tuple[Tuple[str, Tuple[ParamValue, ...]], ...]
 
 _VALID_PROTOCOLS = OverlaySpec._KINDS
-
-_CONFIG_FIELDS = frozenset(
-    f.name for f in dataclass_fields(ExperimentConfig)
-)
 
 
 def _as_values(name: str, value: object) -> Tuple[ParamValue, ...]:
@@ -387,12 +383,9 @@ class SweepSpec:
             raise ConfigurationError("replicates must be >= 1")
         if self.num_messages < 1:
             raise ConfigurationError("num_messages must be >= 1")
-        for name, _value in self.config_overrides:
-            if name not in _CONFIG_FIELDS:
-                raise ConfigurationError(
-                    f"unknown config override {name!r}; expected an "
-                    f"ExperimentConfig field"
-                )
+        ExperimentConfig.check_override_names(
+            name for name, _value in self.config_overrides
+        )
 
     # -- expansion ------------------------------------------------------
 

@@ -8,19 +8,21 @@
   fresh nodes joins from scratch. At 0.2% per 10-second cycle this
   matches the churn rate observed in the Gnutella traces of Saroiu et
   al. [18].
-* :class:`LifetimeStats` — lifetime bookkeeping behind Figs. 12/13.
+* :func:`lifetime_histogram` — ``{lifetime: node count}`` of a
+  lifetime sequence (the live fleet's report). The histograms behind
+  Figs. 12/13 are plain ``Counter`` objects summed by the churn
+  scenario's :class:`~repro.experiments.scenarios.ChurnOutcome`.
 * :class:`TraceChurn` — an extension: churn driven by synthetic
   heavy-tailed session traces instead of the uniform artificial model.
 """
 
 from repro.failures.catastrophic import kill_random_fraction
 from repro.failures.churn import ArtificialChurn
-from repro.failures.lifetimes import LifetimeStats, lifetime_histogram
+from repro.failures.lifetimes import lifetime_histogram
 from repro.failures.traces import SyntheticSessionTrace, TraceChurn
 
 __all__ = [
     "ArtificialChurn",
-    "LifetimeStats",
     "SyntheticSessionTrace",
     "TraceChurn",
     "kill_random_fraction",

@@ -10,75 +10,14 @@ misses concentrate entirely on freshly joined nodes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping
 
-__all__ = ["LifetimeStats", "lifetime_histogram"]
+__all__ = ["lifetime_histogram"]
 
 
 def lifetime_histogram(lifetimes: Iterable[int]) -> Dict[int, int]:
     """Histogram ``{lifetime: node count}`` of a lifetime sequence."""
     return dict(Counter(lifetimes))
-
-
-@dataclass
-class LifetimeStats:
-    """Accumulates lifetime histograms across repeated experiments.
-
-    The paper aggregates ("summed over 100 experiments") both the
-    population histogram and the missed-node histogram; this class is
-    that accumulator.
-    """
-
-    population: Counter = field(default_factory=Counter)
-    missed: Counter = field(default_factory=Counter)
-    experiments: int = 0
-
-    def record_population(self, lifetimes: Iterable[int]) -> None:
-        """Add one experiment's alive-population lifetimes."""
-        self.population.update(lifetimes)
-        self.experiments += 1
-
-    def record_missed(self, lifetimes: Iterable[int]) -> None:
-        """Add the lifetimes of one dissemination's missed nodes."""
-        self.missed.update(lifetimes)
-
-    def population_series(self) -> List[Tuple[int, int]]:
-        """Sorted ``(lifetime, count)`` pairs — Fig. 12's axes."""
-        return sorted(self.population.items())
-
-    def missed_series(self) -> List[Tuple[int, int]]:
-        """Sorted ``(lifetime, count)`` pairs — Fig. 13's axes."""
-        return sorted(self.missed.items())
-
-    def miss_fraction_by_bucket(
-        self, bucket_edges: Tuple[int, ...] = (10, 20, 30, 50, 100, 1000)
-    ) -> Dict[str, float]:
-        """Miss probability per lifetime bucket.
-
-        For each bucket ``(lo, hi]`` this is (missed nodes with lifetime
-        in bucket) / (population nodes in bucket) — the quantitative
-        form of the paper's qualitative Fig. 13 reading. Buckets with no
-        population mass are omitted.
-        """
-        edges = (0,) + tuple(bucket_edges)
-        result: Dict[str, float] = {}
-        for lo, hi in zip(edges, edges[1:] + (float("inf"),)):
-            pop = sum(
-                count
-                for lifetime, count in self.population.items()
-                if lo < lifetime <= hi
-            )
-            if pop == 0:
-                continue
-            miss = sum(
-                count
-                for lifetime, count in self.missed.items()
-                if lo < lifetime <= hi
-            )
-            label = f"({lo}, {hi}]" if hi != float("inf") else f">{lo}"
-            result[label] = miss / pop
-        return result
 
 
 def lifetimes_of(

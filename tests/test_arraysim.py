@@ -15,10 +15,12 @@ Pins the PR's load-bearing contracts:
   semantically identical snapshots (dissemination over the rebuilt
   snapshot draws identically); truncated, corrupt, or wrong-format
   payloads raise :class:`SnapshotCodecError`, never garbage overlays.
-* **Core selection** — ``resolve_core`` honours forced cores, rejects
-  the array core for foreign policies, auto-switches only at scale; the
-  sweep engine's default keeps seed-scale results byte-identical and
-  keeps array- and object-core trials in separate cache universes.
+* **Core selection** — one rule, :func:`repro.arraysim.uses_array_core`:
+  the array core runs from ``ARRAY_CORE_MIN_NODES`` alive nodes up and
+  never for a foreign policy; seed-scale sweeps stay on the object core,
+  and array- and object-core trials live in separate cache universes
+  (the threshold is monkeypatched below N to drive a sweep onto the
+  array core).
 """
 
 import random
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.arraysim
+import repro.experiments.scenarios as scenarios
 from repro.arraysim import (
     ARRAY_CORE_MIN_NODES,
     ArrayOverlay,
@@ -38,6 +41,7 @@ from repro.arraysim import (
     disseminate_many,
     encode_snapshot,
     supports_policy,
+    uses_array_core,
 )
 from repro.arraysim.codec import decode_overlay
 from repro.common.errors import ConfigurationError
@@ -49,9 +53,10 @@ from repro.dissemination.policies import (
     TargetPolicy,
     policy_for_snapshot,
 )
+from repro import api
+from repro.common.rng import RngRegistry
 from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenarios import DISSEMINATION_CORES, resolve_core
 from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_spec import flat_spec
 from tests.conftest import build_snapshot
@@ -325,40 +330,50 @@ class _ForeignPolicy(TargetPolicy):
         return []
 
 
-class TestCoreSelection:
-    def test_object_always_object(self):
-        snapshot = build_snapshot("ringcast", num_nodes=60, warmup=20)
-        assert (
-            resolve_core("object", snapshot, RingCastPolicy()) == "object"
+@pytest.fixture
+def chosen_core(monkeypatch):
+    """Which executor ``sweep_snapshot`` picks for a snapshot, with
+    both executors stubbed out so a 50k-node overlay costs nothing."""
+    monkeypatch.setattr(
+        scenarios, "_sweep_snapshot_array", lambda *args: "array"
+    )
+    monkeypatch.setattr(scenarios, "disseminate", lambda *a, **k: None)
+    config = ExperimentConfig(num_messages=1, fanouts=(3,))
+
+    def choose(snapshot, policy=None):
+        sweep = scenarios.sweep_snapshot(
+            snapshot, config, RngRegistry(1), policy=policy
         )
+        return "array" if sweep == "array" else "object"
 
-    def test_array_forced(self):
-        snapshot = build_snapshot("ringcast", num_nodes=60, warmup=20)
-        assert resolve_core("array", snapshot, RingCastPolicy()) == "array"
+    return choose
 
+
+class TestCoreSelection:
     def test_array_rejects_foreign_policy(self):
         snapshot = build_snapshot("ringcast", num_nodes=60, warmup=20)
         assert not supports_policy(_ForeignPolicy())
+        assert not uses_array_core(10 * ARRAY_CORE_MIN_NODES, _ForeignPolicy())
         with pytest.raises(ConfigurationError):
-            resolve_core("array", snapshot, _ForeignPolicy())
+            disseminate_many(
+                snapshot,
+                _ForeignPolicy(),
+                2,
+                (snapshot.alive_ids[0],),
+                np.random.default_rng(1),
+            )
 
-    def test_auto_respects_threshold(self, monkeypatch):
+    def test_auto_respects_threshold(self, monkeypatch, chosen_core):
         snapshot = build_snapshot("ringcast", num_nodes=60, warmup=20)
-        assert resolve_core("auto", snapshot, RingCastPolicy()) == "object"
+        assert chosen_core(snapshot, RingCastPolicy()) == "object"
+        assert not uses_array_core(snapshot.population)
         monkeypatch.setattr(
             repro.arraysim, "ARRAY_CORE_MIN_NODES", 10
         )
-        assert resolve_core("auto", snapshot, RingCastPolicy()) == "array"
+        assert chosen_core(snapshot, RingCastPolicy()) == "array"
+        assert uses_array_core(snapshot.population)
         # Foreign policies silently stay on the reference core.
-        assert (
-            resolve_core("auto", snapshot, _ForeignPolicy()) == "object"
-        )
-
-    def test_unknown_core_rejected(self):
-        snapshot = build_snapshot("ringcast", num_nodes=60, warmup=20)
-        with pytest.raises(ConfigurationError):
-            resolve_core("simd", snapshot, RingCastPolicy())
-        assert "simd" not in DISSEMINATION_CORES
+        assert chosen_core(snapshot, _ForeignPolicy()) == "object"
 
 
 def boundary_snapshot(num_alive: int, dead: int = 0) -> OverlaySnapshot:
@@ -384,28 +399,24 @@ class TestAutoThresholdBoundary:
     """The ``auto`` core switch at exactly ARRAY_CORE_MIN_NODES alive
     nodes — the real constant, not a monkeypatched stand-in."""
 
-    def test_one_below_threshold_stays_object(self):
+    def test_one_below_threshold_stays_object(self, chosen_core):
         snapshot = boundary_snapshot(ARRAY_CORE_MIN_NODES - 1)
-        assert resolve_core("auto", snapshot, RingCastPolicy()) == "object"
+        assert chosen_core(snapshot) == "object"
+        assert not uses_array_core(ARRAY_CORE_MIN_NODES - 1)
 
-    def test_exactly_at_threshold_goes_array(self):
+    def test_exactly_at_threshold_goes_array(self, chosen_core):
         snapshot = boundary_snapshot(ARRAY_CORE_MIN_NODES)
-        assert resolve_core("auto", snapshot, RingCastPolicy()) == "array"
+        assert chosen_core(snapshot) == "array"
+        assert uses_array_core(ARRAY_CORE_MIN_NODES, RingCastPolicy())
 
-    def test_threshold_counts_alive_nodes_not_table_rows(self):
+    def test_threshold_counts_alive_nodes_not_table_rows(self, chosen_core):
         # 500 dead nodes inflate the link tables past the threshold,
         # but population is ALIVE nodes: the switch must not trip early.
         below = boundary_snapshot(ARRAY_CORE_MIN_NODES - 1, dead=500)
         assert below.population == ARRAY_CORE_MIN_NODES - 1
-        assert resolve_core("auto", below, RingCastPolicy()) == "object"
+        assert chosen_core(below) == "object"
         at = boundary_snapshot(ARRAY_CORE_MIN_NODES, dead=500)
-        assert resolve_core("auto", at, RingCastPolicy()) == "array"
-
-    def test_forced_cores_ignore_the_threshold(self):
-        snapshot = boundary_snapshot(ARRAY_CORE_MIN_NODES - 1)
-        assert resolve_core("array", snapshot, RingCastPolicy()) == "array"
-        snapshot = boundary_snapshot(ARRAY_CORE_MIN_NODES)
-        assert resolve_core("object", snapshot, RingCastPolicy()) == "object"
+        assert chosen_core(at) == "array"
 
     def test_cores_agree_exactly_at_the_boundary(self):
         # Crossing the threshold changes the engine, so it must not
@@ -435,66 +446,81 @@ SMALL_GRID = flat_spec(
 SMALL_BASE = ExperimentConfig(num_nodes=40, warmup_cycles=10, seed=5)
 
 
-class TestSweepCoreWiring:
-    def test_default_matches_forced_object_at_seed_scale(self):
-        """ISSUE acceptance: default core selection keeps seed-scale
-        sweeps byte-identical to the historical object path."""
-        default = run_sweep(SMALL_GRID, base_config=SMALL_BASE, root_seed=5)
-        forced = run_sweep(
-            SMALL_GRID, base_config=SMALL_BASE, root_seed=5, core="object"
-        )
-        assert default.to_json() == forced.to_json()
+@pytest.fixture
+def array_scale(monkeypatch):
+    """Drop the threshold below SMALL_GRID's 40 nodes and count the
+    array core's batches, so a sweep provably runs on it."""
+    batches = []
+    real = repro.arraysim.disseminate_many
 
-    def test_forced_array_runs_and_is_deterministic(self):
-        first = run_sweep(
-            SMALL_GRID, base_config=SMALL_BASE, root_seed=5, core="array"
+    def counted(*args, **kwargs):
+        batches.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.arraysim, "disseminate_many", counted)
+    monkeypatch.setattr(repro.arraysim, "ARRAY_CORE_MIN_NODES", 10)
+    return batches
+
+
+def sweep_with_cache_hits(cache_dir=None):
+    """Run SMALL_GRID; return the result and how many trials the trial
+    cache served."""
+    hits = []
+    result = run_sweep(
+        SMALL_GRID,
+        base_config=SMALL_BASE,
+        root_seed=5,
+        cache_dir=cache_dir,
+        progress=lambda _key, _seconds, cached: hits.append(cached),
+    )
+    return result, sum(hits)
+
+
+class TestSweepCoreWiring:
+    def test_default_matches_forced_object_at_seed_scale(self, monkeypatch):
+        """Seed-scale sweeps run on the object core, so the committed
+        goldens stay its bytes: the same sweep with the array core
+        made unreachable is byte-identical."""
+        default = run_sweep(SMALL_GRID, base_config=SMALL_BASE, root_seed=5)
+        monkeypatch.setattr(
+            scenarios,
+            "_sweep_snapshot_array",
+            lambda *args: pytest.fail("array core ran at seed scale"),
         )
-        second = run_sweep(
-            SMALL_GRID, base_config=SMALL_BASE, root_seed=5, core="array"
+        object_only = run_sweep(
+            SMALL_GRID, base_config=SMALL_BASE, root_seed=5
         )
+        assert default.to_json() == object_only.to_json()
+
+    def test_forced_array_runs_and_is_deterministic(self, array_scale):
+        first = run_sweep(SMALL_GRID, base_config=SMALL_BASE, root_seed=5)
+        assert array_scale == [2]  # one batch at the grid's one fanout
+        second = run_sweep(SMALL_GRID, base_config=SMALL_BASE, root_seed=5)
         assert first.to_json() == second.to_json()
         assert all(t.complete_fraction >= 0.0 for t in first.trials)
 
     def test_unknown_core_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_sweep(
-                SMALL_GRID, base_config=SMALL_BASE, root_seed=5, core="simd"
-            )
+        # The removed option: old scripts passing core= get the
+        # unknown-override error, whatever the value.
+        for value in ("auto", "object", "array"):
+            with pytest.raises(ConfigurationError, match="'core'"):
+                api.run_sweep(spec=SMALL_GRID, scale="tiny", core=value)
 
-    def test_cores_use_disjoint_cache_universes(self, tmp_path):
+    def test_cores_use_disjoint_cache_universes(self, tmp_path, monkeypatch):
         """An array-core re-run must never be served object-core bytes
         from the trial cache (and vice versa)."""
-        object_result = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            core="object",
-            cache_dir=tmp_path,
-        )
-        array_fresh = run_sweep(
-            SMALL_GRID, base_config=SMALL_BASE, root_seed=5, core="array"
-        )
-        array_cached = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            core="array",
-            cache_dir=tmp_path,
-        )
-        assert array_cached.to_json() == array_fresh.to_json()
-        # ... and the array run now resumes from its own entries.
-        array_resumed = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            core="array",
-            cache_dir=tmp_path,
-        )
-        assert array_resumed.to_json() == array_fresh.to_json()
-        assert object_result.to_json() == run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            core="object",
-            cache_dir=tmp_path,
-        ).to_json()
+        object_result, hits = sweep_with_cache_hits(tmp_path)
+        assert hits == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.arraysim, "ARRAY_CORE_MIN_NODES", 10)
+            array_fresh, _ = sweep_with_cache_hits()
+            array_cached, hits = sweep_with_cache_hits(tmp_path)
+            assert hits == 0
+            assert array_cached.to_json() == array_fresh.to_json()
+            # ... and the array run now resumes from its own entries.
+            array_resumed, hits = sweep_with_cache_hits(tmp_path)
+            assert hits == len(array_fresh.trials)
+            assert array_resumed.to_json() == array_fresh.to_json()
+        object_resumed, hits = sweep_with_cache_hits(tmp_path)
+        assert hits == len(object_result.trials)
+        assert object_resumed.to_json() == object_result.to_json()

@@ -1,10 +1,13 @@
 """Tests for the asynchronous (independent-timer) gossip driver."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.dissemination.snapshot import OverlaySnapshot
 from repro.graphs.analysis import (
     indegree_map,
     is_strongly_connected,
@@ -140,3 +143,38 @@ class TestMacroscopicEquivalence:
                 assert len(set(ids)) == len(ids)
                 assert node.node_id not in ids
                 assert view.size <= view.capacity
+
+
+PINNED_EXCHANGES = 961
+PINNED_DIGEST = (
+    "7796df2cc9cdc9a76aced46f8532e5ff24967786eb41d028ae8df16a9d35adc1"
+)
+
+
+class TestPinnedRun:
+    """One jittered run at one seed, pinned: the overlay it freezes and
+    the number of protocol firings. Any change to the firing order
+    (``(time, insertion)``) or to the random draws moves both."""
+
+    def test_jittered_run_freezes_the_pinned_overlay(self):
+        rng = random.Random(29)
+        network, _nodes = build_stack(rng, count=40)
+        driver = AsyncGossipDriver(network, rng, jitter=0.3)
+        driver.run(5)
+        driver.run(7)
+        snapshot = OverlaySnapshot.from_network(network, kind="ringcast")
+        payload = json.dumps(
+            {
+                "rlinks": sorted(snapshot.rlinks.items()),
+                "dlinks": sorted(snapshot.dlinks.items()),
+                "alive": snapshot.alive_ids,
+                "ring_ids": sorted(snapshot.ring_ids.items()),
+                "join_cycles": sorted(snapshot.join_cycles.items()),
+                "frozen_at_cycle": snapshot.frozen_at_cycle,
+            }
+        )
+        digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        assert (driver.exchanges_fired, digest) == (
+            PINNED_EXCHANGES,
+            PINNED_DIGEST,
+        )

@@ -104,6 +104,30 @@ class TestExperimentConfig:
         assert config.num_nodes == 999
         assert config.view_size == 20
 
+    def test_unknown_override_is_a_configuration_error(
+        self, tmp_path, monkeypatch
+    ):
+        """An api keyword and a spec-file key fail the same way, before
+        any trial; they used to differ (a raw ``TypeError`` from
+        ``dataclasses.replace`` on the api path)."""
+        name = "warmup_cyclez"
+        message = f"unknown config override {name!r}"
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig().with_overrides(**{name: 3})
+        monkeypatch.setattr(
+            api, "_run_sweep", lambda *a, **k: pytest.fail("trials scheduled")
+        )
+        monkeypatch.setattr(
+            api, "_run_adaptive", lambda *a, **k: pytest.fail("trials scheduled")
+        )
+        for facade in (api.run_sweep, api.run_adaptive_sweep):
+            with pytest.raises(ConfigurationError, match=message):
+                facade(scenarios=("static",), scale="tiny", **{name: 3})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"scale": "tiny", "config": {name: 3}}))
+        with pytest.raises(ConfigurationError, match=message):
+            SweepSpec.load(path)
+
     def test_hashable_for_figure_caching(self):
         assert hash(ExperimentConfig()) == hash(ExperimentConfig())
         assert ExperimentConfig() == ExperimentConfig()

@@ -1,12 +1,6 @@
 """Tests for lifetime bookkeeping (Figs. 12/13 machinery)."""
 
-import pytest
-
-from repro.failures.lifetimes import (
-    LifetimeStats,
-    lifetime_histogram,
-)
-from repro.failures.lifetimes import lifetimes_of
+from repro.failures.lifetimes import lifetime_histogram, lifetimes_of
 
 
 class TestHistogram:
@@ -24,42 +18,3 @@ class TestLifetimesOf:
 
     def test_unknown_node_defaults_to_cycle_zero(self):
         assert lifetimes_of([9], {}, now=7) == [7]
-
-
-class TestLifetimeStats:
-    def test_population_accumulates(self):
-        stats = LifetimeStats()
-        stats.record_population([1, 2, 2])
-        stats.record_population([2, 5])
-        assert stats.experiments == 2
-        assert dict(stats.population) == {1: 1, 2: 3, 5: 1}
-        assert stats.population_series() == [(1, 1), (2, 3), (5, 1)]
-
-    def test_missed_accumulates(self):
-        stats = LifetimeStats()
-        stats.record_missed([1, 1])
-        stats.record_missed([10])
-        assert stats.missed_series() == [(1, 2), (10, 1)]
-
-    def test_miss_fraction_by_bucket(self):
-        stats = LifetimeStats()
-        stats.record_population([5] * 10 + [50] * 10)
-        stats.record_missed([5] * 5 + [50] * 1)
-        fractions = stats.miss_fraction_by_bucket(bucket_edges=(10, 100))
-        assert fractions["(0, 10]"] == pytest.approx(0.5)
-        assert fractions["(10, 100]"] == pytest.approx(0.1)
-
-    def test_miss_fraction_skips_empty_buckets(self):
-        stats = LifetimeStats()
-        stats.record_population([5])
-        fractions = stats.miss_fraction_by_bucket(bucket_edges=(10, 100))
-        assert "(10, 100]" not in fractions
-
-    def test_young_nodes_miss_more_shape(self):
-        # Synthetic sanity for the Fig. 13 reading: when misses pile on
-        # young nodes, the bucketed fractions must reflect it.
-        stats = LifetimeStats()
-        stats.record_population(list(range(1, 200)))
-        stats.record_missed([1, 2, 3, 4, 5, 6, 18])
-        fractions = stats.miss_fraction_by_bucket(bucket_edges=(20, 200))
-        assert fractions["(0, 20]"] > fractions["(20, 200]"]

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -60,6 +60,52 @@ class TestTopLevelExports:
             assert not hasattr(cls, "run_jobs"), backend
         with pytest.raises(ImportError):
             importlib.import_module("repro.experiments.runner")
+
+    def test_names_removed_in_5_0_0_are_gone(self, capsys):
+        import inspect
+
+        import repro.experiments.scenario_matrix as matrix
+        import repro.experiments.scenarios as scenarios
+        import repro.experiments.sweep as sweep
+        import repro.experiments.sweep_backends as backends
+        import repro.failures
+        from repro import api
+        from repro.cli import main
+        from repro.experiments.history import history_mode
+
+        for module, name in (
+            (scenarios, "DISSEMINATION_CORES"),
+            (scenarios, "resolve_core"),
+            (matrix, "current_core"),
+            (matrix, "_CORE_CONTEXT"),
+            (repro.failures, "LifetimeStats"),
+            (repro.failures.lifetimes, "LifetimeStats"),
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
+        # The dissemination core is no longer an option anywhere.
+        for function in (
+            api.run_sweep,
+            api.run_adaptive_sweep,
+            sweep.run_sweep,
+            scenarios.sweep_snapshot,
+            matrix.execute_trial,
+            matrix.run_trial,
+            backends.run_timed_trial,
+            backends.run_timed_trial_group,
+            backends.SweepBackend.run_trials,
+            backends.InlineBackend.run_trials,
+            backends.ProcessPoolBackend.run_trials,
+            backends.SocketWorkerBackend.run_trials,
+        ):
+            parameters = inspect.signature(function).parameters
+            assert "core" not in parameters, function.__qualname__
+        # Only the history identity keeps it: stored addresses hash it.
+        assert history_mode()["core"] == "auto"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--core", "array"])
+        assert excinfo.value.code == 2
+        assert "--core" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "module_name",

@@ -668,6 +668,35 @@ class TestRunWorker:
         assert outcome["reply"]["type"] == "error"
         assert "no-such-scenario" in outcome["reply"]["error"]
 
+    @pytest.mark.parametrize("core", ["object", "array"])
+    def test_worker_refuses_a_forced_core(self, core):
+        # A pre-5.0 server forces a core with this key; the worker must
+        # not run the trial under the population rule instead.
+        def script(conn, recv, outcome):
+            recv()  # hello
+            message = _trial_message(0)
+            message["core"] = core
+            conn.sendall(encode_frame(message))
+            outcome["reply"] = recv()
+
+        completed, outcome = self._drive(script)
+        assert completed == 0
+        assert outcome["reply"]["type"] == "error"
+        assert core in outcome["reply"]["error"]
+
+    def test_worker_accepts_an_explicit_auto_core(self):
+        def script(conn, recv, outcome):
+            recv()  # hello
+            message = _trial_message(0)
+            message["core"] = "auto"
+            conn.sendall(encode_frame(message))
+            outcome["reply"] = recv()
+            conn.sendall(encode_frame({"type": "shutdown"}))
+
+        completed, outcome = self._drive(script)
+        assert completed == 1
+        assert outcome["reply"]["type"] == "result"
+
 
 # ----------------------------------------------------------------------
 # run_sweep wiring
@@ -698,6 +727,16 @@ class TestTrialDeadline:
     def test_deadline_validated(self):
         with pytest.raises(ConfigurationError, match="trial_deadline"):
             SocketWorkerBackend(workers=2, trial_deadline=0)
+
+    def test_nan_deadline_rejected(self):
+        # monotonic() + nan never passes: a NaN deadline would never
+        # drop a stalled worker, and the sweep would hang.
+        with pytest.raises(ConfigurationError, match="trial_deadline"):
+            SocketWorkerBackend(workers=2, trial_deadline=float("nan"))
+        with pytest.raises(ConfigurationError, match="trial_deadline"):
+            resolve_backend(
+                "socket", workers=2, trial_deadline=float("nan")
+            )
 
     def test_resolve_backend_passes_deadline_through(self):
         backend = resolve_backend("socket", workers=2, trial_deadline=5.0)

@@ -317,13 +317,15 @@ class TestGoldenSweepBytes:
         self, monkeypatch, facade, removed
     ):
         # **config_overrides swallows unknown names, so the error comes
-        # from ExperimentConfig — before any trial may run.
+        # from ExperimentConfig — before any trial may run. Since 5.0.0
+        # it is the spec file's "unknown config override" error, not a
+        # raw TypeError from dataclasses.replace.
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("a removed kwarg reached the engine")
 
         monkeypatch.setattr(repro.api, "_run_sweep", explode)
         monkeypatch.setattr(repro.api, "_run_adaptive", explode)
-        with pytest.raises(TypeError, match=next(iter(removed))):
+        with pytest.raises(ConfigurationError, match=next(iter(removed))):
             facade(scenarios=("catastrophic",), **removed)
 
     def test_api_spec_file_matches_seed_bytes(self, tmp_path):
