@@ -37,9 +37,7 @@ from repro.experiments.scenario_matrix import (
 from repro.experiments.scenarios import (
     ChurnOutcome,
     FanoutSweep,
-    run_catastrophic_scenario,
-    run_churn_scenario,
-    run_static_scenario,
+    ScenarioRuns,
 )
 from repro.experiments.adaptive import (
     AdaptiveOutcome,
@@ -171,7 +169,10 @@ def run_experiment(
 
     ``scenario`` is ``"static"``, ``"catastrophic"`` or ``"churn"``;
     extra keyword arguments override
-    :class:`~repro.experiments.config.ExperimentConfig` fields.
+    :class:`~repro.experiments.config.ExperimentConfig` fields. The
+    result is that scenario's view of a fresh
+    :class:`~repro.experiments.scenarios.ScenarioRuns`, the runner the
+    figures read.
 
     Scenario parameters are validated against the registered schemas:
     passing a parameter the chosen scenario does not consume (e.g.
@@ -184,14 +185,14 @@ def run_experiment(
     config = scale_config(scale, seed=seed)
     if overrides:
         config = config.with_overrides(**overrides)
-    spec = OverlaySpec(kind=protocol)
+    runs = ScenarioRuns(config)
     if scenario == "static":
-        return run_static_scenario(config, spec)
+        return runs.static(protocol)
     if scenario == "catastrophic":
         fraction = 0.05 if kill_fraction is None else kill_fraction
-        return run_catastrophic_scenario(config, spec, fraction)
+        return runs.catastrophic(protocol, fraction)
     if scenario == "churn":
-        return run_churn_scenario(config, spec)
+        return runs.churn(protocol)
     raise ConfigurationError(
         f"unknown scenario {scenario!r}; expected static, catastrophic, "
         "or churn"

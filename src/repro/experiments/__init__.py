@@ -8,10 +8,10 @@ Every experiment follows the paper's pipeline::
 :mod:`repro.experiments.config` defines scale presets (``small``,
 ``medium``, ``paper``) selectable via the ``REPRO_SCALE`` environment
 variable; :mod:`repro.experiments.builder` constructs protocol stacks;
-:mod:`repro.experiments.scenarios` runs the three evaluation scenarios
-(static failure-free, catastrophic failure, continuous churn) and holds
-the runs behind the paper's figures in one
-:class:`~repro.experiments.scenarios.ScenarioRuns`;
+:class:`~repro.experiments.scenarios.ScenarioRuns` runs the three
+evaluation scenarios (static failure-free, catastrophic failure,
+continuous churn), freezing one overlay per (protocol, network) for the
+first two;
 :mod:`repro.experiments.figures` derives each evaluation figure from
 those runs as structured data, and :func:`regenerate_all` all of them
 as tables; :mod:`repro.experiments.report` renders paper-style tables;
@@ -46,9 +46,6 @@ from repro.experiments.scenarios import (
     ChurnOutcome,
     FanoutSweep,
     ScenarioRuns,
-    run_catastrophic_scenario,
-    run_churn_scenario,
-    run_static_scenario,
 )
 from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_spec import (
@@ -100,9 +97,6 @@ __all__ = [
     "measure_ring_convergence",
     "regenerate_all",
     "resolve_backend",
-    "run_catastrophic_scenario",
-    "run_churn_scenario",
-    "run_static_scenario",
     "run_sweep",
     "scale_config",
     "scenario",

@@ -127,6 +127,10 @@ class ExperimentConfig:
             raise ConfigurationError("warmup_cycles must be >= 1")
         if self.num_messages < 1:
             raise ConfigurationError("num_messages must be >= 1")
+        if self.num_networks < 1:
+            raise ConfigurationError("num_networks must be >= 1")
+        if self.churn_networks < 1:
+            raise ConfigurationError("churn_networks must be >= 1")
         if not self.fanouts:
             raise ConfigurationError("fanouts must be non-empty")
         if any(f < 1 for f in self.fanouts):

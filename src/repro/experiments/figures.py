@@ -5,8 +5,9 @@ Each ``figure*`` function is a pure view over one
 structured series data; rendering to paper-style ASCII tables lives in
 :mod:`repro.experiments.report`. Figures sharing runs share them
 through that object: Figs. 6/7/8 read one static run per protocol,
-Figs. 9/10 one catastrophic run per (protocol, kill fraction), and
-Figs. 11/12/13 one churn run per protocol.
+Figs. 9/10 one catastrophic run per (protocol, kill fraction) — kills of
+the overlays the static run measured — and Figs. 11/12/13 one churn run
+per protocol.
 
 :data:`FIGURES` lists the figures in paper order, each rendering its
 named tables; ``repro figN``, ``repro all`` and :func:`regenerate_all`

@@ -1,20 +1,20 @@
 """The three evaluation scenarios (paper §7.1–§7.3).
 
 * **Static failure-free** — warm up, freeze, disseminate.
-* **Catastrophic failure** — warm up, freeze, kill a random fraction
-  with *no* self-healing, disseminate over the damaged overlay.
+* **Catastrophic failure** — kill a random fraction of the frozen
+  static overlay with *no* self-healing, disseminate over the damage.
 * **Continuous churn** — gossip under per-cycle replacement until every
   original node has left at least once, freeze, disseminate; record the
   lifetime structure of the population and of the missed nodes.
 
-Each scenario sweeps the configured fanouts, posting
-``config.num_messages`` messages from random origins per fanout, over
-``config.num_networks`` (or ``config.churn_networks``) independently
-built networks, and merges everything into a :class:`FanoutSweep`.
-
-:class:`ScenarioRuns` holds the runs behind the paper's figures (one
-static and one churn run per protocol, one catastrophic run per
-protocol and kill fraction), computing each at most once.
+:class:`ScenarioRuns` is the one runner of all three. Like the paper,
+it warms up and freezes one overlay per (protocol, network) and reads
+the static run and every kill fraction off it, so a network costs one
+warm-up however many fractions are measured. Each run sweeps the
+configured fanouts, posting ``config.num_messages`` messages from
+random origins per fanout, over ``config.num_networks`` (or
+``config.churn_networks``) networks, and merges everything into a
+:class:`FanoutSweep`.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ __all__ = [
     "ScenarioRuns",
     "build_churned_overlay",
     "build_static_overlay",
-    "run_catastrophic_scenario",
-    "run_churn_scenario",
-    "run_static_scenario",
     "sweep_snapshot",
 ]
 
@@ -185,10 +182,15 @@ def build_churned_overlay(
 ) -> Tuple[OverlaySnapshot, int]:
     """Gossip under churn until full turnover, then freeze.
 
-    Returns the snapshot and the number of cycles run under churn. An
-    initial churn-free warm-up lets the star bootstrap unfold before
-    nodes start dying (the paper's networks likewise begin from a
-    converged state before churn statistics are taken).
+    Returns the snapshot and the number of cycles run after the
+    warm-up. Churn is attached *before* the warm-up: nodes already
+    leave and join while the star bootstrap unfolds, so the
+    ``config.warmup_cycles`` warm-up cycles run under churn too and the
+    flat warm-up kernel declines them (every cycle takes the object
+    path). The paper starts churn on a converged network instead; this
+    builder keeps the earlier start because the Fig. 11–13 tables and
+    the sweeps' ``churn``/``pull_churn`` golden cells are pinned on it,
+    and moving it re-pins them all.
     """
     population = build_population(config, spec, registry)
     churn = ArtificialChurn(churn_rate, population.node_factory)
@@ -201,53 +203,6 @@ def build_churned_overlay(
     return freeze_overlay(population), cycles
 
 
-def run_static_scenario(
-    config: ExperimentConfig,
-    spec: OverlaySpec,
-    collect_load: bool = False,
-) -> FanoutSweep:
-    """§7.1: static failure-free networks."""
-    merged: Optional[FanoutSweep] = None
-    for net_index in range(config.num_networks):
-        registry = RngRegistry(config.seed).spawn(
-            f"static/{spec.kind}/net{net_index}"
-        )
-        snapshot = build_static_overlay(config, spec, registry)
-        sweep = sweep_snapshot(
-            snapshot, config, registry, collect_load=collect_load
-        )
-        if merged is None:
-            merged = sweep
-        else:
-            merged.merge(sweep)
-    assert merged is not None
-    return merged
-
-
-def run_catastrophic_scenario(
-    config: ExperimentConfig,
-    spec: OverlaySpec,
-    kill_fraction: float,
-) -> FanoutSweep:
-    """§7.2: kill a random fraction after freezing, then disseminate."""
-    merged: Optional[FanoutSweep] = None
-    for net_index in range(config.num_networks):
-        registry = RngRegistry(config.seed).spawn(
-            f"catastrophic/{spec.kind}/{kill_fraction}/net{net_index}"
-        )
-        snapshot = build_static_overlay(config, spec, registry)
-        damaged = snapshot.kill_fraction(
-            kill_fraction, registry.stream("failures")
-        )
-        sweep = sweep_snapshot(damaged, config, registry)
-        if merged is None:
-            merged = sweep
-        else:
-            merged.merge(sweep)
-    assert merged is not None
-    return merged
-
-
 @dataclass
 class ChurnOutcome:
     """Everything the churn scenario measures (Figs. 11, 12, 13).
@@ -258,7 +213,7 @@ class ChurnOutcome:
             population at freeze, summed over networks (Fig. 12).
         missed_lifetimes: Per fanout, ``{lifetime: count}`` of the
             nodes disseminations missed, summed over runs (Fig. 13).
-        churn_cycles: Warm-up cycles each network ran under churn.
+        churn_cycles: Cycles each network ran after its warm-up.
     """
 
     sweep: FanoutSweep
@@ -266,48 +221,22 @@ class ChurnOutcome:
     missed_lifetimes: Dict[int, Counter] = field(default_factory=dict)
     churn_cycles: List[int] = field(default_factory=list)
 
-    def record_missed(self, fanout: int, lifetimes: List[int]) -> None:
-        """Accumulate missed-node lifetimes for one run."""
-        self.missed_lifetimes.setdefault(fanout, Counter()).update(lifetimes)
-
-
-def run_churn_scenario(
-    config: ExperimentConfig,
-    spec: OverlaySpec,
-    churn_rate: Optional[float] = None,
-) -> ChurnOutcome:
-    """§7.3: continuous artificial churn until full population turnover.
-
-    The network gossips under churn until every original node has been
-    replaced at least once (capped at ``config.churn_max_cycles``),
-    is then frozen, and the damaged-by-design overlay is swept.
-    """
-    rate = config.churn_rate if churn_rate is None else churn_rate
-    outcome: Optional[ChurnOutcome] = None
-    for net_index in range(config.churn_networks):
-        registry = RngRegistry(config.seed).spawn(
-            f"churn/{spec.kind}/{rate}/net{net_index}"
-        )
-        snapshot, cycles = build_churned_overlay(
-            config, spec, registry, rate
-        )
-        sweep = sweep_snapshot(snapshot, config, registry)
-        if outcome is None:
-            outcome = ChurnOutcome(sweep=sweep)
-        else:
-            outcome.sweep.merge(sweep)
-        outcome.churn_cycles.append(cycles)
-        outcome.population_lifetimes.update(
+    def record(
+        self, snapshot: OverlaySnapshot, cycles: int, sweep: FanoutSweep
+    ) -> None:
+        """Count one network: its churn cycles, the lifetimes of its
+        population at freeze and, per fanout, those of the nodes each
+        run of its ``sweep`` missed."""
+        self.churn_cycles.append(cycles)
+        self.population_lifetimes.update(
             snapshot.lifetime_of(node_id) for node_id in snapshot.alive_ids
         )
         for fanout, results in sweep.runs.items():
+            missed = self.missed_lifetimes.setdefault(fanout, Counter())
             for result in results:
-                outcome.record_missed(
-                    fanout,
-                    [snapshot.lifetime_of(m) for m in result.missed_ids],
+                missed.update(
+                    snapshot.lifetime_of(m) for m in result.missed_ids
                 )
-    assert outcome is not None
-    return outcome
 
 
 # The protocols the paper's figures compare, and Figs. 9/10's kill
@@ -315,81 +244,153 @@ def run_churn_scenario(
 PROTOCOLS = ("randcast", "ringcast")
 PAPER_KILL_FRACTIONS = (0.01, 0.02, 0.05, 0.10)
 
-# Every run the figures read, keyed ("static", kind),
-# ("catastrophic", kind, fraction) or ("churn", kind); churn first, as
-# it takes longest, so a pool stays busy to the end.
-_FIGURE_RUNS = (
-    *(("churn", kind) for kind in PROTOCOLS),
-    *(("static", kind) for kind in PROTOCOLS),
-    *(
-        ("catastrophic", kind, fraction)
-        for kind in PROTOCOLS
-        for fraction in PAPER_KILL_FRACTIONS
-    ),
-)
 
-
-def _compute(config: ExperimentConfig, key: Tuple):
-    scenario, kind, *fraction = key
-    if scenario == "static":
-        return run_static_scenario(config, OverlaySpec(kind))
-    if scenario == "catastrophic":
-        return run_catastrophic_scenario(
-            config, OverlaySpec(kind), *fraction
-        )
-    return run_churn_scenario(config, OverlaySpec(kind))
+def _merged(sweeps: List[FanoutSweep]) -> FanoutSweep:
+    """The networks' sweeps as one, in network order."""
+    merged = FanoutSweep(protocol=sweeps[0].protocol)
+    for sweep in sweeps:
+        merged.merge(sweep)
+    return merged
 
 
 class ScenarioRuns:
-    """The scenario runs at one config, each computed at most once.
+    """The §7 scenario runs at one config, each computed at most once.
 
-    Figures are views over these runs: Figs. 6/7/8 read
-    :meth:`static`, Figs. 9/10 :meth:`catastrophic`, Figs. 11/12/13
-    :meth:`churn`. Every run draws from its own RNG universe
-    (``RngRegistry(config.seed).spawn("<scenario>/<kind>/…/net<i>")``),
-    so a run's result does not depend on which other runs were
-    computed, in what order, or in which process.
+    Figures are views over these runs: Figs. 6/7/8 read :meth:`static`
+    and Figs. 9/10 :meth:`catastrophic`, both views of the frozen
+    :meth:`overlays`; Figs. 11/12/13 read :meth:`churn`. A network
+    draws from named RNG universes
+    (``RngRegistry(config.seed).spawn(name)``): ``static/<kind>/net<i>``
+    builds and sweeps its frozen overlay,
+    ``catastrophic/<kind>/<fraction>/net<i>`` kills and sweeps, and
+    ``churn/<kind>/<rate>/net<i>`` does all of churn. So a run's result
+    does not depend on which other runs were computed, in what order,
+    or in which process.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
         self.config = config
+        self._overlays: Dict[str, List[OverlaySnapshot]] = {}
         self._runs: Dict[Tuple, Union[FanoutSweep, ChurnOutcome]] = {}
 
+    def _universe(self, name: str) -> RngRegistry:
+        return RngRegistry(self.config.seed).spawn(name)
+
+    def overlays(self, kind: str) -> List[OverlaySnapshot]:
+        """The warmed-up, frozen failure-free overlay of each network."""
+        if kind not in self._overlays:
+            self._overlays[kind] = [
+                build_static_overlay(
+                    self.config,
+                    OverlaySpec(kind),
+                    self._universe(f"static/{kind}/net{net}"),
+                )
+                for net in range(self.config.num_networks)
+            ]
+        return self._overlays[kind]
+
     def static(self, kind: str) -> FanoutSweep:
-        """§7.1 over ``kind`` (Figs. 6, 7, 8)."""
-        return self._get(("static", kind))
+        """§7.1 over ``kind`` (Figs. 6, 7, 8): the overlays as frozen."""
+        return self._frozen_run(("static", kind), kind, 0.0)
 
     def catastrophic(self, kind: str, fraction: float) -> FanoutSweep:
-        """§7.2 over ``kind`` with ``fraction`` killed (Figs. 9, 10)."""
-        return self._get(("catastrophic", kind, fraction))
+        """§7.2 over ``kind`` (Figs. 9, 10): ``fraction`` of each
+        frozen overlay killed, with no repair."""
+        return self._frozen_run(
+            ("catastrophic", kind, fraction), kind, fraction
+        )
+
+    def _frozen_run(
+        self, key: Tuple, kind: str, fraction: float
+    ) -> FanoutSweep:
+        if key not in self._runs:
+            # The key names the universe: static/<kind>/net<i> or
+            # catastrophic/<kind>/<fraction>/net<i>.
+            universe = "/".join(str(part) for part in key)
+            sweeps = []
+            for net, overlay in enumerate(self.overlays(kind)):
+                registry = self._universe(f"{universe}/net{net}")
+                # A new snapshot; killing nothing returns the overlay.
+                damaged = overlay.kill_fraction(
+                    fraction, registry.stream("failures")
+                )
+                sweeps.append(sweep_snapshot(damaged, self.config, registry))
+            self._runs[key] = _merged(sweeps)
+        return self._runs[key]
 
     def churn(self, kind: str) -> ChurnOutcome:
-        """§7.3 over ``kind`` (Figs. 11, 12, 13)."""
-        return self._get(("churn", kind))
+        """§7.3 over ``kind`` (Figs. 11, 12, 13).
 
-    def _get(self, key: Tuple):
+        Each network gossips under churn until every original node has
+        been replaced at least once (capped at
+        ``config.churn_max_cycles``), is frozen, and is swept.
+        """
+        key = ("churn", kind)
         if key not in self._runs:
-            self._runs[key] = _compute(self.config, key)
+            rate = self.config.churn_rate
+            networks = []
+            for net in range(self.config.churn_networks):
+                registry = self._universe(f"churn/{kind}/{rate}/net{net}")
+                snapshot, cycles = build_churned_overlay(
+                    self.config, OverlaySpec(kind), registry, rate
+                )
+                sweep = sweep_snapshot(snapshot, self.config, registry)
+                networks.append((snapshot, cycles, sweep))
+            outcome = ChurnOutcome(_merged([sweep for *_, sweep in networks]))
+            for network in networks:
+                outcome.record(*network)
+            self._runs[key] = outcome
         return self._runs[key]
+
+    def _frozen_family(self, kind: str) -> None:
+        """The static run and the paper's kill fractions over ``kind``."""
+        self.static(kind)
+        for fraction in PAPER_KILL_FRACTIONS:
+            self.catastrophic(kind, fraction)
 
     def prefetch(self, workers: int) -> None:
         """Compute every run the paper's figures read, ``workers`` wide.
 
-        With ``workers > 1`` the runs not computed yet execute on a
-        process pool; with one worker they run here, one by one.
+        With ``workers > 1`` one pool job per protocol builds its
+        overlays and runs the static run and the paper's kill
+        fractions, and one runs its churn. Each job hands back all it
+        built, overlays included, so a later kill fraction only
+        disseminates. What is still missing then (everything, at one
+        worker) runs here.
         """
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        missing = [key for key in _FIGURE_RUNS if key not in self._runs]
-        if workers == 1 or len(missing) <= 1:
-            for key in missing:
-                self._get(key)
-            return
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(missing))
-        ) as pool:
-            futures = [
-                pool.submit(_compute, self.config, key) for key in missing
-            ]
-            for key, future in zip(missing, futures):
-                self._runs[key] = future.result()
+        # Churn first, as it takes longest, so a pool stays busy to
+        # the end.
+        jobs = [
+            (ScenarioRuns.churn, kind)
+            for kind in PROTOCOLS
+            if ("churn", kind) not in self._runs
+        ] + [
+            (ScenarioRuns._frozen_family, kind)
+            for kind in PROTOCOLS
+            if kind not in self._overlays
+        ]
+        if workers > 1 and len(jobs) > 1:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs))
+            ) as pool:
+                futures = [
+                    pool.submit(_run_job, self.config, job, kind)
+                    for job, kind in jobs
+                ]
+                for future in futures:
+                    done = future.result()
+                    self._overlays.update(done._overlays)
+                    self._runs.update(done._runs)
+        for kind in PROTOCOLS:
+            self.churn(kind)
+            self._frozen_family(kind)
+
+
+def _run_job(config: ExperimentConfig, job, kind: str) -> ScenarioRuns:
+    """One pool job of :meth:`ScenarioRuns.prefetch`: ``job(runs,
+    kind)`` on a fresh instance, returned with everything it built."""
+    runs = ScenarioRuns(config)
+    job(runs, kind)
+    return runs

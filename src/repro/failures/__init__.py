@@ -12,19 +12,14 @@
   lifetime sequence (the live fleet's report). The histograms behind
   Figs. 12/13 are plain ``Counter`` objects summed by the churn
   scenario's :class:`~repro.experiments.scenarios.ChurnOutcome`.
-* :class:`TraceChurn` — an extension: churn driven by synthetic
-  heavy-tailed session traces instead of the uniform artificial model.
 """
 
 from repro.failures.catastrophic import kill_random_fraction
 from repro.failures.churn import ArtificialChurn
 from repro.failures.lifetimes import lifetime_histogram
-from repro.failures.traces import SyntheticSessionTrace, TraceChurn
 
 __all__ = [
     "ArtificialChurn",
-    "SyntheticSessionTrace",
-    "TraceChurn",
     "kill_random_fraction",
     "lifetime_histogram",
 ]

@@ -40,6 +40,7 @@ block of a fleet scenario::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Tuple
@@ -83,9 +84,9 @@ def parse_latency_spec(value: str) -> Tuple[float, float]:
         raise ConfigurationError(
             f"latency spec must be MS or LO:HI milliseconds, got {value!r}"
         )
-    if lo < 0 or hi < lo:
+    if not (math.isfinite(hi) and 0 <= lo <= hi):
         raise ConfigurationError(
-            f"latency window must satisfy 0 <= LO <= HI, got {value!r}"
+            f"latency window must satisfy 0 <= LO <= HI < inf, got {value!r}"
         )
     return (lo / _MS, hi / _MS)
 
@@ -114,14 +115,15 @@ class LinkFaults:
                     f"got {value}"
                 )
         lo, hi = self.latency
-        if lo < 0 or hi < lo:
+        if not (math.isfinite(hi) and 0 <= lo <= hi):
             raise ConfigurationError(
-                f"latency window must satisfy 0 <= lo <= hi, "
+                f"latency window must satisfy 0 <= lo <= hi < inf, "
                 f"got ({lo}, {hi})"
             )
-        if self.reorder_extra < 0:
+        if not (math.isfinite(self.reorder_extra) and self.reorder_extra >= 0):
             raise ConfigurationError(
-                f"reorder_extra must be >= 0, got {self.reorder_extra}"
+                f"reorder_extra must be finite and >= 0, "
+                f"got {self.reorder_extra}"
             )
 
     @property

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import random
 import signal
@@ -227,9 +228,10 @@ class FleetScenario:
                 f"fleet scenario needs at least 2 nodes, got {nodes}"
             )
         duration = float(obj["duration"])
-        if duration <= 0:
+        if not (math.isfinite(duration) and duration > 0):
             raise ConfigurationError(
-                f"fleet duration must be positive seconds, got {duration}"
+                f"fleet duration must be positive finite seconds, "
+                f"got {duration}"
             )
         overrides = obj.get("node", {})
         if not isinstance(overrides, Mapping):

@@ -10,12 +10,7 @@ from repro.experiments.builder import (
     warm_up,
 )
 from repro.experiments.config import ExperimentConfig, OverlaySpec
-from repro.experiments.scenarios import (
-    run_catastrophic_scenario,
-    run_churn_scenario,
-    run_static_scenario,
-    sweep_snapshot,
-)
+from repro.experiments.scenarios import ScenarioRuns, sweep_snapshot
 
 TINY = ExperimentConfig(
     num_nodes=120,
@@ -133,7 +128,7 @@ class TestBuildAndFreeze:
 class TestStaticScenario:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_static_scenario(TINY, OverlaySpec("ringcast"))
+        return ScenarioRuns(TINY).static("ringcast")
 
     def test_all_fanouts_swept(self, sweep):
         assert sweep.fanouts() == (1, 2, 3, 5)
@@ -156,40 +151,46 @@ class TestStaticScenario:
 
     def test_multi_network_merging(self):
         config = TINY.with_overrides(num_networks=2, num_messages=3)
-        sweep = run_static_scenario(config, OverlaySpec("ringcast"))
+        sweep = ScenarioRuns(config).static("ringcast")
         assert all(len(sweep.runs[f]) == 6 for f in sweep.fanouts())
 
 
 class TestCatastrophicScenario:
-    def test_population_shrinks(self):
-        sweep = run_catastrophic_scenario(
-            TINY, OverlaySpec("ringcast"), kill_fraction=0.10
-        )
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return ScenarioRuns(TINY)
+
+    def test_population_shrinks(self, runs):
+        sweep = runs.catastrophic("ringcast", 0.10)
         any_run = sweep.runs[2][0]
         assert any_run.population == 108
 
-    def test_ringcast_beats_randcast_after_failure(self):
-        ring = run_catastrophic_scenario(
-            TINY, OverlaySpec("ringcast"), kill_fraction=0.05
-        )
-        rand = run_catastrophic_scenario(
-            TINY, OverlaySpec("randcast"), kill_fraction=0.05
-        )
+    def test_ringcast_beats_randcast_after_failure(self, runs):
+        ring = runs.catastrophic("ringcast", 0.05)
+        rand = runs.catastrophic("randcast", 0.05)
         ring_miss = ring.stats(3).mean_miss_ratio
         rand_miss = rand.stats(3).mean_miss_ratio
         assert ring_miss < rand_miss
 
-    def test_messages_to_dead_occur(self):
-        sweep = run_catastrophic_scenario(
-            TINY, OverlaySpec("ringcast"), kill_fraction=0.10
-        )
+    def test_messages_to_dead_occur(self, runs):
+        sweep = runs.catastrophic("ringcast", 0.10)
         assert sweep.stats(3).mean_msgs_to_dead > 0
+
+    def test_kills_leave_the_static_overlay_intact(self, runs):
+        # Every kill fraction is a view of the one frozen overlay per
+        # network: killing does not shrink it, and the static run
+        # still reaches all of it.
+        (overlay,) = runs.overlays("ringcast")
+        runs.catastrophic("ringcast", 0.10)
+        assert runs.overlays("ringcast")[0] is overlay
+        assert overlay.population == TINY.num_nodes
+        assert runs.static("ringcast").runs[2][0].population == 120
 
 
 class TestChurnScenario:
     @pytest.fixture(scope="class")
     def outcome(self):
-        return run_churn_scenario(TINY, OverlaySpec("ringcast"))
+        return ScenarioRuns(TINY).churn("ringcast")
 
     def test_full_turnover_recorded(self, outcome):
         assert len(outcome.churn_cycles) == TINY.churn_networks

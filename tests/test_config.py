@@ -63,6 +63,8 @@ class TestExperimentConfig:
             ("fanouts", ()),
             ("fanouts", (0, 1)),
             ("churn_rate", 1.0),
+            ("num_networks", 0),
+            ("churn_networks", 0),
         ],
     )
     def test_validation(self, field, value):

@@ -1,4 +1,4 @@
-"""Tests for failure models: catastrophic kills, artificial churn, traces."""
+"""Tests for failure models: catastrophic kills and artificial churn."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.failures.catastrophic import kill_random_fraction
 from repro.failures.churn import ArtificialChurn
-from repro.failures.traces import SyntheticSessionTrace, TraceChurn
 from repro.membership.cyclon import Cyclon
 from repro.sim.cycle import CycleDriver
 from repro.sim.network import Network
@@ -122,63 +121,3 @@ class TestArtificialChurn:
         assert churn.full_turnover_reached(network)
         assert all(n.join_cycle > 0 for n in network.alive_nodes())
 
-
-class TestSyntheticTrace:
-    def test_validates_alpha(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticSessionTrace(alpha=1.0)
-
-    def test_validates_session_bounds(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticSessionTrace(min_session=0)
-        with pytest.raises(ConfigurationError):
-            SyntheticSessionTrace(min_session=10, max_session=5)
-
-    def test_samples_at_least_one_cycle(self, rng):
-        trace = SyntheticSessionTrace(alpha=1.2, min_session=1.0)
-        assert all(trace.sample(rng) >= 1 for _ in range(200))
-
-    def test_samples_capped(self, rng):
-        trace = SyntheticSessionTrace(max_session=50.0)
-        assert all(trace.sample(rng) <= 50 for _ in range(500))
-
-    def test_heavy_tail_shape(self, rng):
-        trace = SyntheticSessionTrace(alpha=1.3, min_session=2.0)
-        samples = [trace.sample(rng) for _ in range(3000)]
-        short = sum(1 for s in samples if s <= 4)
-        long = sum(1 for s in samples if s > 40)
-        assert short > len(samples) * 0.5
-        assert long > 0
-
-    def test_mean_session_analytic(self):
-        trace = SyntheticSessionTrace(alpha=2.0, min_session=3.0)
-        assert trace.mean_session() == pytest.approx(6.0)
-
-
-class TestTraceChurn:
-    def test_population_constant_under_trace_churn(self, rng):
-        network = build_network(rng, 40)
-        trace = SyntheticSessionTrace(alpha=1.5, min_session=2.0)
-        churn = TraceChurn(trace, cyclon_factory, rng)
-        for node in network.alive_nodes():
-            churn.register(node)
-        for _ in range(30):
-            churn(network, rng)
-        assert network.size == 40
-        assert churn.total_removed > 0
-
-    def test_unregistered_nodes_get_sessions_lazily(self, rng):
-        network = build_network(rng, 10)
-        trace = SyntheticSessionTrace()
-        churn = TraceChurn(trace, cyclon_factory, rng)
-        churn(network, rng)  # no registration beforehand
-        assert len(churn._remaining) == network.size
-
-    def test_respects_min_population(self, rng):
-        network = build_network(rng, 3)
-        trace = SyntheticSessionTrace(alpha=1.2, min_session=1.0)
-        churn = TraceChurn(trace, cyclon_factory, rng, min_population=3)
-        for node in network.alive_nodes():
-            churn._remaining[node.node_id] = 1
-        churn(network, rng)
-        assert network.size == 3

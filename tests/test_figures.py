@@ -12,22 +12,38 @@ from repro.experiments.scenarios import ScenarioRuns
 from tests.conftest import FIGURE_CONFIG as CONFIG
 from tests.conftest import QUICK_FIGURE_CONFIG as QUICK
 
-def count_runs(monkeypatch):
-    """Count the calls of the three scenario runners, by argument."""
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``scenarios`` functions, as
+    ``(name, protocol)`` pairs."""
     calls = []
-    for name in (
-        "run_static_scenario",
-        "run_catastrophic_scenario",
-        "run_churn_scenario",
-    ):
+    for name in names:
         real = getattr(scenarios, name)
 
-        def counted(config, spec, *args, _name=name, _real=real):
-            calls.append((_name, spec.kind, *args))
-            return _real(config, spec, *args)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            # The overlay spec or the snapshot names the protocol.
+            kind = next(arg.kind for arg in args if hasattr(arg, "kind"))
+            calls.append((_name, kind))
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(scenarios, name, counted)
     return calls
+
+
+def count_builds(monkeypatch):
+    """Count the overlay warm-ups: static and churned builds."""
+    return count_calls(
+        monkeypatch, "build_static_overlay", "build_churned_overlay"
+    )
+
+
+def expected_builds(config):
+    return sorted(
+        [("build_static_overlay", kind) for kind in scenarios.PROTOCOLS]
+        * config.num_networks
+        + [("build_churned_overlay", kind) for kind in scenarios.PROTOCOLS]
+        * config.churn_networks
+    )
 
 
 @pytest.fixture(scope="module")
@@ -164,34 +180,46 @@ class TestFigure10:
 
     def test_reuses_catastrophic_cache(self, monkeypatch):
         # Figs. 9 and 10 read the same catastrophic runs: figure10
-        # computes nothing that figure9 already did.
-        calls = count_runs(monkeypatch)
+        # computes nothing that figure9 already did, and every kill
+        # fraction is a view of one frozen overlay per network.
+        builds = count_builds(monkeypatch)
+        sweeps = count_calls(monkeypatch, "sweep_snapshot")
         runs = ScenarioRuns(QUICK)
         fig.figure9(runs)
         fig.figure10(runs, kill_fraction=0.05)
-        assert len(calls) == len(set(calls)) == 8
+        assert sorted(builds) == sorted(
+            ("build_static_overlay", kind) for kind in scenarios.PROTOCOLS
+        )
+        assert len(sweeps) == len(scenarios.PROTOCOLS) * len(
+            scenarios.PAPER_KILL_FRACTIONS
+        )
 
 
 class TestScenarioRuns:
     def test_each_run_computed_once(self, monkeypatch):
-        calls = count_runs(monkeypatch)
-        runs = ScenarioRuns(QUICK)
+        config = QUICK.with_overrides(num_networks=2, churn_networks=2)
+        builds = count_builds(monkeypatch)
+        runs = ScenarioRuns(config)
         for render in fig.FIGURES.values():
             render(runs)
         for render in fig.FIGURES.values():
             render(runs)
-        assert sorted(calls) == sorted(
-            [("run_static_scenario", kind) for kind in scenarios.PROTOCOLS]
-            + [
-                ("run_catastrophic_scenario", kind, fraction)
-                for kind in scenarios.PROTOCOLS
-                for fraction in scenarios.PAPER_KILL_FRACTIONS
-            ]
-            + [("run_churn_scenario", kind) for kind in scenarios.PROTOCOLS]
-        )
+        assert sorted(builds) == expected_builds(config)
         # Everything is computed already: prefetching adds nothing.
         runs.prefetch(workers=2)
-        assert len(calls) == 12
+        assert sorted(builds) == expected_builds(config)
+
+    def test_prefetch_returns_the_overlays(self, monkeypatch):
+        # The pool jobs hand their frozen overlays back, so a kill
+        # fraction no figure reads only disseminates afterwards.
+        runs = ScenarioRuns(QUICK)
+        runs.prefetch(workers=2)
+        builds = count_builds(monkeypatch)
+        custom = runs.catastrophic("ringcast", 0.3)
+        assert builds == []
+        assert custom.runs == ScenarioRuns(QUICK).catastrophic(
+            "ringcast", 0.3
+        ).runs
 
     def test_prefetch_rejects_zero_workers(self):
         from repro.common.errors import ConfigurationError

@@ -29,7 +29,9 @@ class TestLatencySpec:
         assert parse_latency_spec("10") == (0.01, 0.01)
         assert parse_latency_spec("0:0") == (0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", ["", "a:b", "1:2:3", "-1:5", "9:3"])
+    @pytest.mark.parametrize(
+        "bad", ["", "a:b", "1:2:3", "-1:5", "9:3", "nan", "1:nan", "inf"]
+    )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             parse_latency_spec(bad)
@@ -43,6 +45,12 @@ class TestLinkFaults:
             LinkFaults(latency=(0.5, 0.1))
         with pytest.raises(ConfigurationError, match="reorder_extra"):
             LinkFaults(reorder_extra=-1.0)
+        # A NaN delay handed to loop.call_later reorders every other
+        # timer on the node's loop.
+        with pytest.raises(ConfigurationError, match="latency"):
+            LinkFaults.from_dict({"latency_ms": [0, float("nan")]})
+        with pytest.raises(ConfigurationError, match="reorder_extra"):
+            LinkFaults(reorder_extra=float("nan"))
 
     def test_from_dict_converts_milliseconds(self):
         link = LinkFaults.from_dict(

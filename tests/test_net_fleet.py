@@ -81,6 +81,8 @@ class TestScenarioValidation:
             ({"churn": [{"at": 1, "action": "pause", "node": 2}]},
              "kill/restart/join"),
             ({"publishes": [{"at": 99.0, "node": 0}]}, "outside"),
+            ({"duration": float("nan")}, "finite"),
+            ({"duration": float("inf")}, "finite"),
         ],
     )
     def test_bad_scenarios_rejected(self, patch, match):

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -106,6 +106,26 @@ class TestTopLevelExports:
             main(["sweep", "--core", "array"])
         assert excinfo.value.code == 2
         assert "--core" in capsys.readouterr().err
+
+    def test_names_removed_in_6_0_0_are_gone(self):
+        import repro.experiments.scenarios as scenarios
+        import repro.failures
+        from repro import api
+
+        # ScenarioRuns is the one scenario runner.
+        for module in (scenarios, repro.experiments, api):
+            for name in (
+                "run_static_scenario",
+                "run_catastrophic_scenario",
+                "run_churn_scenario",
+            ):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+                assert name not in getattr(module, "__all__", ())
+        for name in ("TraceChurn", "SyntheticSessionTrace"):
+            assert not hasattr(repro.failures, name)
+            assert name not in repro.failures.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.failures.traces")
 
     @pytest.mark.parametrize(
         "module_name",

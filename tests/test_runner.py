@@ -23,18 +23,19 @@ EXPECTED_NAMES = {
 }
 
 # sha256 of every rendered table (and of fig6.dat) at FIGURE_CONFIG.
-# Each scenario run draws from its own RNG universe, so these bytes do not
-# depend on which runs were computed first, in which process, or how
-# the figures share them.
+# Each scenario run draws from its own RNG universes, so these bytes do
+# not depend on which runs were computed first, in which process, or how
+# the figures share them. The fig9/fig10 tables are kills of the static
+# overlay that fig6-8 read.
 TABLE_SHA256 = {
     "fig6": "f6ec6e9a3def5c56e1b120fdf2b64c0dbd45274367361d3295b83f0ab4b4421e",
     "fig7": "6801fe2fa4bf6e72c8cb445e106057970d02dd79d22b420528408f793e680d44",
     "fig8": "871d9e622de514dd2c9b31fa50520ae1fec513d3bae58cf08a5dc927cef287ce",
-    "fig9_kill01": "3062ca6a7014a287388121c331aa7243d601cbd0718e9aaf16c3809bbd1a57fd",
-    "fig9_kill02": "f88cccad18ea7e5c38137f4a010ac4186a5f4ac93e2797562ec35ebeedac18b6",
-    "fig9_kill05": "5d93307ba2c853856366f18d4d85790bd8c48bf7172ae5aa10a9a90e7bd1c84e",
-    "fig9_kill10": "9e0dce8a7ebeb92d3e2e4ce308262772293a1b7e2ea0610f0ea0d2b94d88da68",
-    "fig10": "c73d1dbcfaf2f3e64245af40e0514885f47bec84d88eba61e3c925a84c5be440",
+    "fig9_kill01": "267960814ba77d7980e9f6519628cb326d386896e13039a475e3af6bc79c044b",
+    "fig9_kill02": "5cc57fea14018a82c05a7698ec1b717a94c4b5a9829b368d13340bc3283a68c1",
+    "fig9_kill05": "fae6fb8482f0f6cc9a808a66f3c27c62e45f2ab16c3cba376e7477d0c55ad5fc",
+    "fig9_kill10": "8fc3301e58046b084c4a987f9871898688ede4082b3fa5fd781f091c33106382",
+    "fig10": "522ec745c166365d1a97560d52fd2106925150bf65ca9c847ee0e37eef8342f1",
     "fig11": "16eedc7d2b9bd738a58fce755458a23d70bbe8cd8d73cd03c84a2243a94c56ac",
     "fig12": "ad6d9f0cc592c69072d03bf183c6df768afc0387272aeb1c77d7376838d6111d",
     "fig13": "35a1a2dba69d888fd8bda7c0661fa5062aec6a6c68998354b1baa9dc55bfb6e2",
