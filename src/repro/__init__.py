@@ -42,7 +42,7 @@ from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.sweep_results import SweepResult
 from repro.experiments.sweep_spec import SweepSpec
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "DisseminationResult",

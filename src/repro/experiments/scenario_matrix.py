@@ -39,6 +39,7 @@ schema and :func:`registered_params` the union across scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -164,6 +165,13 @@ class ParamSpec:
         ):
             raise ConfigurationError(
                 f"parameter {self.name!r} expects a number, got "
+                f"{value!r}"
+            )
+        # NaN fails every bound comparison below, and int() of a
+        # non-finite float raises a bare ValueError or OverflowError.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"parameter {self.name!r} expects a finite number, got "
                 f"{value!r}"
             )
         if self.kind == "int":

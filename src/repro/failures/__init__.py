@@ -1,8 +1,5 @@
 """Failure and churn models (paper §7.2, §7.3).
 
-* :func:`kill_random_fraction` — catastrophic failure: a random
-  fraction of the population crashes at once, with gossip stalled so
-  the overlay cannot self-heal (the paper's deliberate worst case).
 * :class:`ArtificialChurn` — the paper's churn model: every cycle a
   fixed fraction of random nodes leaves forever and an equal number of
   fresh nodes joins from scratch. At 0.2% per 10-second cycle this
@@ -12,14 +9,16 @@
   lifetime sequence (the live fleet's report). The histograms behind
   Figs. 12/13 are plain ``Counter`` objects summed by the churn
   scenario's :class:`~repro.experiments.scenarios.ChurnOutcome`.
+
+Catastrophic failure (§7.2) needs no live network: it kills a fraction
+of a frozen overlay, with no repair, through
+:meth:`repro.dissemination.snapshot.OverlaySnapshot.kill_fraction`.
 """
 
-from repro.failures.catastrophic import kill_random_fraction
 from repro.failures.churn import ArtificialChurn
 from repro.failures.lifetimes import lifetime_histogram
 
 __all__ = [
     "ArtificialChurn",
-    "kill_random_fraction",
     "lifetime_histogram",
 ]

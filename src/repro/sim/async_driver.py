@@ -4,8 +4,8 @@ The paper states that "nodes have independent, non-synchronized
 timers" (§6); the cycle driver approximates this with a per-cycle
 random permutation, which is PeerSim's (and the paper's) simulation
 model. This driver removes the approximation entirely: every node's
-every protocol fires through the event engine at its own phase-shifted,
-optionally jittered period.
+every protocol fires from the driver's own timer heap at its own
+phase-shifted, optionally jittered period.
 
 Used by the sync-vs-async ablation to show the cycle model is faithful:
 overlays converged under either driver are macroscopically
@@ -15,16 +15,20 @@ outcomes).
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import random
+from typing import List, Tuple
+
 from repro.common.errors import ConfigurationError
-from repro.sim.engine import EventEngine
 from repro.sim.network import Network
 
 __all__ = ["AsyncGossipDriver"]
 
 
 class AsyncGossipDriver:
-    """Drives gossip protocols through the discrete-event engine.
+    """Drives gossip protocols from a heap of per-(node, protocol) timers.
 
     Each (node, protocol) pair gets an initial phase drawn uniformly in
     [0, period) and then fires every ``period`` time units, each firing
@@ -32,6 +36,10 @@ class AsyncGossipDriver:
     time unit corresponds to one gossip cycle of the synchronous model,
     so ``run(cycles=100)`` is directly comparable to
     ``CycleDriver.run(100)``.
+
+    Timers are ``(time, seq, node_id, protocol_name)`` tuples: the
+    insertion sequence breaks ties between equal times, so the firing
+    order, and with it every random draw, is deterministic.
 
     Nodes created *after* :meth:`start` (churn joiners) are picked up
     lazily: call :meth:`enroll` for them, as the churn adapters do not
@@ -56,8 +64,10 @@ class AsyncGossipDriver:
         self.rng = rng
         self.period = period
         self.jitter = jitter
-        self.engine = EventEngine()
+        self.now = 0.0
         self.exchanges_fired = 0
+        self._timers: List[Tuple[float, int, int, str]] = []
+        self._seq = itertools.count()
         self._started = False
 
     def start(self) -> None:
@@ -72,37 +82,44 @@ class AsyncGossipDriver:
         """Schedule a node's protocols from the current time onward."""
         for name in node.protocols:
             phase = self.rng.uniform(0, self.period)
-            self.engine.schedule_in(
-                phase, self._make_firing(node.node_id, name)
-            )
+            self._arm(self.now + phase, node.node_id, name)
 
-    def _make_firing(self, node_id: int, protocol_name: str):
-        def fire() -> None:
+    def _arm(self, time: float, node_id: int, protocol_name: str) -> None:
+        heapq.heappush(
+            self._timers, (time, next(self._seq), node_id, protocol_name)
+        )
+
+    def run(self, cycles: float) -> int:
+        """Advance virtual time by ``cycles`` periods.
+
+        Returns the number of protocol firings executed. ``cycles`` must
+        be finite and >= 0: every firing re-arms itself, so a horizon
+        that is never reached would run forever.
+        """
+        if not (math.isfinite(cycles) and cycles >= 0):
+            raise ConfigurationError(
+                f"cycles must be finite and >= 0, got {cycles}"
+            )
+        if not self._started:
+            self.start()
+        before = self.exchanges_fired
+        horizon = self.now + cycles * self.period
+        while self._timers and self._timers[0][0] <= horizon:
+            self.now, _seq, node_id, name = heapq.heappop(self._timers)
             if not self.network.is_alive(node_id):
-                return
+                continue
             node = self.network.node(node_id)
-            protocol = node.protocols.get(protocol_name)
+            protocol = node.protocols.get(name)
             if protocol is None:
-                return
+                continue
             protocol.execute_cycle(node, self.network, self.rng)
             self.exchanges_fired += 1
             delay = self.period
             if self.jitter:
                 delay += self.rng.uniform(-self.jitter, self.jitter)
-            self.engine.schedule_in(max(delay, 1e-9), fire)
+            self._arm(self.now + max(delay, 1e-9), node_id, name)
             # Track a coarse cycle counter so ages and lifetimes stay
             # meaningful for code shared with the synchronous driver.
-            self.network.current_cycle = int(self.engine.now)
-
-        return fire
-
-    def run(self, cycles: float) -> int:
-        """Advance virtual time by ``cycles`` periods.
-
-        Returns the number of protocol firings executed.
-        """
-        if not self._started:
-            self.start()
-        before = self.exchanges_fired
-        self.engine.run_until(self.engine.now + cycles * self.period)
+            self.network.current_cycle = int(self.now)
+        self.now = horizon
         return self.exchanges_fired - before

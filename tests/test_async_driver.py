@@ -59,6 +59,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             driver.start()
 
+    @pytest.mark.parametrize(
+        "cycles", [float("nan"), float("inf"), -1], ids=["nan", "inf", "-1"]
+    )
+    def test_rejects_bad_cycles(self, rng, cycles):
+        network, _nodes = build_stack(rng, count=5)
+        driver = AsyncGossipDriver(network, rng)
+        with pytest.raises(ConfigurationError):
+            driver.run(cycles)
+        assert driver.exchanges_fired == 0
+
 
 class TestExecution:
     def test_each_protocol_fires_about_once_per_period(self, rng):

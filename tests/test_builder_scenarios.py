@@ -11,6 +11,7 @@ from repro.experiments.builder import (
 )
 from repro.experiments.config import ExperimentConfig, OverlaySpec
 from repro.experiments.scenarios import ScenarioRuns, sweep_snapshot
+from tests.conftest import FIGURE_CONFIG
 
 TINY = ExperimentConfig(
     num_nodes=120,
@@ -188,30 +189,34 @@ class TestCatastrophicScenario:
 
 
 class TestChurnScenario:
+    """Read the shared ``figure_runs`` fixture: its churn run is the
+    one Figs. 11-13 render."""
+
     @pytest.fixture(scope="class")
-    def outcome(self):
-        return ScenarioRuns(TINY).churn("ringcast")
+    def outcome(self, figure_runs):
+        return figure_runs.churn("ringcast")
 
     def test_full_turnover_recorded(self, outcome):
-        assert len(outcome.churn_cycles) == TINY.churn_networks
+        assert len(outcome.churn_cycles) == FIGURE_CONFIG.churn_networks
         assert all(c > 0 for c in outcome.churn_cycles)
 
     def test_population_lifetimes_collected(self, outcome):
-        assert sum(outcome.population_lifetimes.values()) == TINY.num_nodes
+        population = sum(outcome.population_lifetimes.values())
+        assert population == FIGURE_CONFIG.num_nodes
 
     def test_lifetimes_bounded_by_warmup(self, outcome):
         max_lifetime = max(outcome.population_lifetimes)
-        total_cycles = TINY.warmup_cycles + max(outcome.churn_cycles)
+        total_cycles = FIGURE_CONFIG.warmup_cycles + max(outcome.churn_cycles)
         assert max_lifetime <= total_cycles
 
     def test_missed_lifetimes_only_for_swept_fanouts(self, outcome):
-        assert set(outcome.missed_lifetimes) <= set(TINY.fanouts)
+        assert set(outcome.missed_lifetimes) <= set(FIGURE_CONFIG.fanouts)
 
     def test_misses_exist_at_low_fanout(self, outcome):
         assert sum(outcome.missed_lifetimes[1].values()) > 0
 
     def test_sweep_covers_fanouts(self, outcome):
-        assert outcome.sweep.fanouts() == (1, 2, 3, 5)
+        assert outcome.sweep.fanouts() == FIGURE_CONFIG.fanouts
 
 
 class TestSweepSnapshot:

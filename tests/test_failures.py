@@ -1,11 +1,8 @@
-"""Tests for failure models: catastrophic kills and artificial churn."""
-
-import random
+"""Tests for failure models: artificial churn."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.failures.catastrophic import kill_random_fraction
 from repro.failures.churn import ArtificialChurn
 from repro.membership.cyclon import Cyclon
 from repro.sim.cycle import CycleDriver
@@ -23,40 +20,6 @@ def build_network(rng, count=50):
     for _ in range(count):
         cyclon_factory(network)
     return network
-
-
-class TestCatastrophic:
-    def test_kills_requested_fraction(self, rng):
-        network = build_network(rng, 100)
-        victims = kill_random_fraction(network, 0.1, rng)
-        assert len(victims) == 10
-        assert network.size == 90
-
-    def test_victims_are_dead(self, rng):
-        network = build_network(rng, 20)
-        for victim in kill_random_fraction(network, 0.25, rng):
-            assert not network.is_alive(victim)
-
-    def test_zero_fraction(self, rng):
-        network = build_network(rng, 10)
-        assert kill_random_fraction(network, 0.0, rng) == []
-
-    def test_never_kills_everyone(self, rng):
-        network = build_network(rng, 4)
-        kill_random_fraction(network, 0.9, rng)
-        assert network.size >= 1
-
-    def test_rejects_fraction_one(self, rng):
-        network = build_network(rng, 4)
-        with pytest.raises(ConfigurationError):
-            kill_random_fraction(network, 1.0, rng)
-
-    def test_deterministic(self):
-        net_a = build_network(random.Random(3), 40)
-        net_b = build_network(random.Random(3), 40)
-        va = kill_random_fraction(net_a, 0.2, random.Random(7))
-        vb = kill_random_fraction(net_b, 0.2, random.Random(7))
-        assert va == vb
 
 
 class TestArtificialChurn:

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -127,6 +127,25 @@ class TestTopLevelExports:
         with pytest.raises(ImportError):
             importlib.import_module("repro.failures.traces")
 
+    def test_names_removed_in_7_0_0_are_gone(self):
+        import repro.failures
+        import repro.sim
+
+        # The async gossip driver keeps its own timer heap.
+        for name in ("Event", "EventEngine", "EventQueue", "SimClock"):
+            assert not hasattr(repro.sim, name), f"repro.sim.{name}"
+            assert name not in repro.sim.__all__
+        assert not hasattr(repro.failures, "kill_random_fraction")
+        assert "kill_random_fraction" not in repro.failures.__all__
+        for module_name in (
+            "repro.sim.engine",
+            "repro.sim.events",
+            "repro.sim.clock",
+            "repro.failures.catastrophic",
+        ):
+            with pytest.raises(ImportError):
+                importlib.import_module(module_name)
+
     @pytest.mark.parametrize(
         "module_name",
         [
@@ -154,9 +173,6 @@ class TestDoctests:
         "module_name",
         [
             "repro.common.rng",
-            "repro.sim.clock",
-            "repro.sim.events",
-            "repro.sim.engine",
             "repro.membership.ring_ids",
             "repro.experiments.sweep",
             "repro.experiments.sweep_spec",

@@ -404,6 +404,16 @@ class TestSweepSpecValidation:
     def test_bounds_checked_per_value(self):
         with pytest.raises(ConfigurationError, match="kill_fraction"):
             scenario("catastrophic", kill_fraction=[0.05, 1.5])
+        # NaN fails every bound comparison; it must not pass them all.
+        with pytest.raises(ConfigurationError, match="kill_fraction"):
+            scenario("catastrophic", kill_fraction=[math.nan])
+        # A spec file's 1e999 parses as inf; int() of it must not leak
+        # a raw ValueError or OverflowError.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(
+                ConfigurationError, match="concurrent_messages"
+            ):
+                scenario("multi_message", concurrent_messages=bad)
 
     def test_spec_axis_validation(self):
         with pytest.raises(ConfigurationError, match="protocol"):
