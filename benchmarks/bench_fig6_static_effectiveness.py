@@ -17,7 +17,6 @@ rises steeply from 0% to 100%.
 from benchmarks.conftest import (
     once,
     record_table,
-    sweep_backend,
     sweep_workers,
 )
 from repro.experiments.report import render_effectiveness
@@ -42,7 +41,6 @@ def test_fig6_static_effectiveness(benchmark, cfg):
             base_config=cfg,
             root_seed=cfg.seed,
             workers=sweep_workers(),
-            backend=sweep_backend(),
         ),
     )
     data = effectiveness_figure(

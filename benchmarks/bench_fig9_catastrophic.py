@@ -16,7 +16,6 @@ import pytest
 from benchmarks.conftest import (
     once,
     record_table,
-    sweep_backend,
     sweep_workers,
 )
 from repro.experiments.report import render_effectiveness
@@ -43,7 +42,6 @@ def test_fig9_catastrophic(benchmark, cfg, fraction):
             base_config=cfg,
             root_seed=cfg.seed,
             workers=sweep_workers(),
-            backend=sweep_backend(),
         ),
     )
     data = effectiveness_figure(

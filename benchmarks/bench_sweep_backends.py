@@ -1,14 +1,12 @@
-"""Sweep-engine scaling: workers=1 vs workers=N, across backends —
-plus the overlay snapshot store's cold-vs-warm warm-up savings.
+"""Sweep-engine scaling: workers=1 vs workers=N — plus the overlay
+snapshot store's cold-vs-warm warm-up savings.
 
-PR 2's open question — does the process pool actually buy wall clock
-on multi-core hardware? — gets measured here: the same grid runs
-through the inline backend (serial reference), the process pool at
-``sweep_workers()`` width, and the socket work-queue backend with two
-local workers. Timings land in ``results/BENCH_sweep.json`` so the
-speedup is recorded data, not an anecdote; byte-identity across the
-three runs is asserted while we're at it (timing a sweep that silently
-diverged would measure nothing).
+Does the process pool actually buy wall clock on multi-core hardware?
+The same grid runs through the inline backend (serial reference) and
+the process pool at ``sweep_workers()`` width. Timings land in
+``results/BENCH_sweep.json`` so the speedup is recorded data, not an
+anecdote; byte-identity across the runs is asserted while we're at it
+(timing a sweep that silently diverged would measure nothing).
 
 The snapshot-store section measures the same grid cold (empty store,
 every overlay built and persisted) and warm (second run, every warm-up
@@ -67,11 +65,9 @@ def test_sweep_backend_scaling(benchmark):
         benchmark,
         lambda: _timed(workers=workers, backend="process"),
     )
-    socket_result, socket_seconds = _timed(workers=2, backend="socket")
 
     # Timing a diverged sweep would measure nothing.
     assert parallel.to_json() == serial.to_json()
-    assert socket_result.to_json() == serial.to_json()
 
     # -- overlay snapshot store: cold build vs warm reuse --------------
     store = Path(tempfile.mkdtemp(prefix="bench_snapshots_"))
@@ -144,11 +140,6 @@ def test_sweep_backend_scaling(benchmark):
             "process_seconds": round(parallel_seconds, 3),
             "process_speedup": round(
                 serial_seconds / parallel_seconds, 3
-            ),
-            "socket_workers": 2,
-            "socket_seconds": round(socket_seconds, 3),
-            "socket_speedup": round(
-                serial_seconds / socket_seconds, 3
             ),
             "byte_identical_across_backends": True,
             "snapshot_store": {

@@ -74,17 +74,6 @@ def sweep_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def sweep_backend():
-    """Execution backend for sweep-engine benches.
-
-    ``REPRO_SWEEP_BACKEND`` selects ``inline``, ``process``, or
-    ``socket``; the default (``None``) keeps the engine's historical
-    auto-selection. Results are byte-identical under every backend, so
-    this only changes where the CPU time is spent.
-    """
-    return os.environ.get("REPRO_SWEEP_BACKEND") or None
-
-
 def once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -279,13 +279,10 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     progress=None,
     backend: Optional[str] = None,
-    listen: Optional[Tuple[str, int]] = None,
     spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
     snapshot_cache_max_bytes: Optional[int] = None,
-    trial_deadline: Optional[float] = None,
-    auth_token: Optional[str] = None,
     history: Optional[Union[str, Path]] = None,
     **config_overrides,
 ) -> SweepResult:
@@ -319,15 +316,12 @@ def run_sweep(
        (byte-identical to every earlier release). To set a scenario
        parameter, use form 1 or 2.
 
-    ``backend`` picks the execution backend (``"inline"``,
-    ``"process"``, or ``"socket"`` — a TCP work queue that spreads
-    trials over ``repro sweep-worker`` processes, local or remote;
-    ``listen`` is its bind address). The default keeps the historical
-    behaviour: inline at ``workers=1``, a local process pool otherwise.
-    Results are byte-identical whichever backend runs them.
-    ``trial_deadline`` (socket backend only) bounds how long a single
-    dispatched trial may sit unanswered on a live worker connection
-    before the worker is dropped and the trial re-dispatched.
+    ``backend`` picks the execution backend (``"inline"`` or
+    ``"process"``); the default is inline at ``workers=1`` and a local
+    process pool otherwise. Results are byte-identical whichever
+    backend runs them. To spread a sweep over machines, split the grid,
+    run each part with its own ``cache_dir`` and copy the caches
+    together (``docs/distributed_sweeps.md``).
 
     ``snapshot_cache`` names a directory for the content-addressed
     overlay snapshot store (see
@@ -359,10 +353,6 @@ def run_sweep(
     :class:`~repro.experiments.config.ExperimentConfig` fields of the
     per-trial base configuration (e.g. ``warmup_cycles=40``).
 
-    ``auth_token`` (socket backend only) enables shared-secret frame
-    authentication on the worker wire: workers must present the same
-    token or are cleanly rejected (see ``docs/distributed_sweeps.md``).
-
     ``history`` names a sweep history store directory (see
     :mod:`repro.experiments.history` and
     ``docs/experiment_service.md``): completed sweeps are persisted
@@ -387,12 +377,9 @@ def run_sweep(
         cache_dir=cache_dir,
         progress=progress,
         backend=backend,
-        listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=overlay_reuse,
         snapshot_cache_max_bytes=snapshot_cache_max_bytes,
-        trial_deadline=trial_deadline,
-        auth_token=auth_token,
     )
     if history is None:
         return _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
@@ -419,13 +406,10 @@ def run_adaptive_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     progress=None,
     backend: Optional[str] = None,
-    listen: Optional[Tuple[str, int]] = None,
     spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
     snapshot_cache_max_bytes: Optional[int] = None,
-    trial_deadline: Optional[float] = None,
-    auth_token: Optional[str] = None,
     history: Optional[Union[str, Path]] = None,
     ci_width: float = 1.0,
     max_replicates: int = 8,
@@ -473,12 +457,9 @@ def run_adaptive_sweep(
         cache_dir=cache_dir,
         progress=progress,
         backend=backend,
-        listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=overlay_reuse,
         snapshot_cache_max_bytes=snapshot_cache_max_bytes,
-        trial_deadline=trial_deadline,
-        auth_token=auth_token,
     )
     digest = ""
     mode: dict = {}

@@ -72,8 +72,7 @@ def uses_array_core(
     given, must be one the array core implements
     (:func:`supports_policy`). Every seed-scale run, and so every
     committed golden, stays on the object executor. Callers that know
-    only a trial's size (the trial-cache digest tag, the socket
-    server's worker gate) pass no policy.
+    only a trial's size (the trial-cache digest tag) pass no policy.
     """
     return population >= ARRAY_CORE_MIN_NODES and (
         policy is None or supports_policy(policy)

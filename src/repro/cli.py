@@ -18,17 +18,15 @@ Running sweeps
 --------------
 
 ``repro sweep`` expands a declarative (scenario × protocol × N ×
-fanout × seed-replicate) grid, executes the trials through the chosen
-backend, and prints per-cell aggregates (mean ± 95% CI)::
+fanout × seed-replicate) grid, executes the trials serially or on a
+local process pool (``--workers``), and prints per-cell aggregates
+(mean ± 95% CI)::
 
     repro sweep --workers 4
     repro sweep --scenarios static,catastrophic --fanouts 1,2,3,4,6 \\
         --nodes 200,400 --replicates 3 --workers 8
     repro sweep --scenarios multi_message,pull_churn --cache runs/ \\
         --json runs/sweep.json
-    repro sweep --backend socket --workers 4        # local TCP workers
-    repro sweep --backend socket --workers 0 \\
-        --listen 0.0.0.0:7777                       # remote workers
 
 Scenario parameters are *auto-generated* flags: every parameter a
 registered scenario declares in its schema
@@ -47,21 +45,18 @@ portable, serializable description of the whole grid (see
     repro sweep --dump-spec spec.json ...same flags...   # write, don't run
     repro sweep --spec spec.json --workers 8             # run a spec file
 
-``--backend`` picks inline (serial), process (local pool), or socket —
-a TCP work-queue server; remote hosts join a socket sweep with::
-
-    repro sweep-worker --connect server-host:7777
-
-Results are byte-identical at any ``--workers`` value and under every
-backend; ``--cache DIR`` persists finished trials so an interrupted
+Results are byte-identical at any ``--workers`` value;
+``--cache DIR`` persists finished trials so an interrupted
 sweep resumes for free, and also enables the content-addressed overlay
 snapshot store (``--snapshot-cache DIR`` / ``--no-snapshot-cache``)
 that lets re-runs skip warm-up gossip entirely — still byte-identical.
 ``--overlay-reuse grid`` opts into sharing one overlay across fanout
 siblings (the paper's freeze-once methodology; deterministic, but a
-different experiment design). On shared networks, ``--auth-token``
-makes the socket wire HMAC-authenticated end to end. See
-``docs/distributed_sweeps.md`` and ``docs/performance.md``.
+different experiment design). A sweep spreads over machines through
+that cache: run parts of the grid (say one ``--protocols`` value each)
+with their own ``--cache``, copy the directories together, and a final
+run over the merged cache executes nothing and prints the same bytes.
+See ``docs/distributed_sweeps.md`` and ``docs/performance.md``.
 
 The experiment service (``docs/experiment_service.md``)
 ----------------------------------------------------------
@@ -334,21 +329,7 @@ def _resolve_sweep_request(args):
 
 def _run_sweep(args) -> None:
     from repro.api import run_adaptive_sweep, run_sweep, run_sweep_diff
-    from repro.experiments.sweep_backends import parse_endpoint
 
-    if args.listen is not None and args.backend != "socket":
-        # Silently running a local pool while remote workers try to
-        # connect to a port nobody opened would be a cruel failure mode.
-        raise ConfigurationError(
-            "--listen only applies to --backend socket"
-        )
-    if args.auth_token is not None and args.backend != "socket":
-        raise ConfigurationError(
-            "--auth-token only applies to --backend socket"
-        )
-    listen = (
-        parse_endpoint(args.listen) if args.listen is not None else None
-    )
     if args.no_snapshot_cache and args.snapshot_cache is not None:
         raise ConfigurationError(
             "--snapshot-cache and --no-snapshot-cache contradict each "
@@ -374,13 +355,9 @@ def _run_sweep(args) -> None:
         workers=args.workers,
         cache_dir=args.cache,
         progress=narrate if args.verbose else None,
-        backend=args.backend,
-        listen=listen,
         snapshot_cache=snapshot_cache,
         overlay_reuse=args.overlay_reuse,
         snapshot_cache_max_bytes=args.snapshot_cache_max_bytes,
-        trial_deadline=args.trial_deadline,
-        auth_token=args.auth_token,
         history=args.history,
     )
 
@@ -391,6 +368,7 @@ def _run_sweep(args) -> None:
                 ("--spec", args.spec is not None),
                 ("--dump-spec", args.dump_spec is not None),
                 ("--adaptive", args.adaptive),
+                ("--json", args.json is not None),
             )
             if given
         ]
@@ -463,32 +441,6 @@ def _run_sweep(args) -> None:
     if args.json is not None:
         path = result.save(args.json)
         print(f"(aggregated sweep written to {path})")
-
-
-def _run_sweep_worker(args) -> None:
-    import os
-
-    from repro.experiments.sweep_backends import run_worker
-
-    def narrate(key: str, seconds: float) -> None:
-        print(f"[worker] {key} (~{seconds:.1f}s)")
-
-    # The server's auto-spawned workers inherit the token through the
-    # environment (never argv — it must not show up in `ps`); the same
-    # variable serves remote workers started by hand or by an init
-    # system.
-    auth_token = args.auth_token
-    if auth_token is None:
-        auth_token = os.environ.get("REPRO_SWEEP_AUTH") or None
-    completed = run_worker(
-        args.connect,
-        max_trials=args.max_trials,
-        crash_after=args.crash_after,
-        progress=narrate if args.verbose else None,
-        connect_timeout=args.connect_timeout,
-        auth_token=auth_token,
-    )
-    print(f"(worker completed {completed} trials)")
 
 
 def _run_history(args) -> None:
@@ -624,8 +576,8 @@ def _build_fault_profile(args):
 def _run_node(args) -> None:
     import asyncio
 
-    from repro.experiments.sweep_backends import parse_endpoint
     from repro.net.node import NodeConfig, run_node
+    from repro.net.wire import parse_endpoint
 
     config = NodeConfig(
         host=args.host,
@@ -666,8 +618,7 @@ def _run_node(args) -> None:
 
 
 def _run_net_send(args) -> None:
-    from repro.experiments.sweep_backends import parse_endpoint
-    from repro.net.wire import send_publish
+    from repro.net.wire import parse_endpoint, send_publish
 
     msg_id = send_publish(
         parse_endpoint(args.to),
@@ -835,13 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
         "grid and print per-cell aggregates",
         description=(
             "Expand a declarative parameter grid into independent "
-            "trials, execute them through the selected backend "
-            "(inline, a local process pool, or a socket work queue "
-            "feeding repro sweep-worker processes on any host), and "
-            "aggregate per cell (mean and 95% CI over replicates). "
-            "Results are byte-identical at any --workers value and "
-            "under every backend; --cache enables resume of "
-            "interrupted sweeps."
+            "trials, execute them serially or on a local process pool, "
+            "and aggregate per cell (mean and 95% CI over replicates). "
+            "Results are byte-identical at any --workers value; --cache "
+            "enables resume of interrupted sweeps, and caches of grid "
+            "parts run on other machines merge by copying."
         ),
         # The removed --concurrent / --pulls must not prefix-match
         # --concurrent-messages / --pulls-per-round: those attach per
@@ -940,36 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="execution width: pool processes (process backend) or "
-        "spawned local workers (socket backend; 0 = external workers "
-        "only) (default: 1)",
-    )
-    sub.add_argument(
-        "--backend",
-        choices=("inline", "process", "socket"),
-        default=None,
-        help="trial execution backend: inline (serial, debugging), "
-        "process (local pool), or socket (TCP work queue for "
-        "'repro sweep-worker' processes, local or remote); default: "
-        "inline at --workers 1, process otherwise — results are "
-        "byte-identical under every backend",
-    )
-    sub.add_argument(
-        "--listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="bind address for the socket backend (default: "
-        "127.0.0.1 on an ephemeral port; use 0.0.0.0:PORT to accept "
-        "workers from other hosts)",
-    )
-    sub.add_argument(
-        "--trial-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="socket backend: drop a connected-but-silent worker that "
-        "holds one trial longer than this and re-dispatch the trial "
-        "(default: 900)",
+        help="worker processes: 1 runs the trials serially in this "
+        "process, more runs them on a local process pool; results are "
+        "byte-identical at any value (default: 1)",
     )
     sub.add_argument(
         "--cache",
@@ -1019,14 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="write the aggregated sweep as canonical JSON here",
-    )
-    sub.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="socket backend: require workers to authenticate with "
-        "this shared secret (HMAC-SHA256 over every frame); workers "
-        "present it via --auth-token or $REPRO_SWEEP_AUTH",
     )
     sub.add_argument(
         "--history",
@@ -1088,59 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="narrate per-trial progress",
     )
     sub.set_defaults(func=_run_sweep)
-    sub = subparsers.add_parser(
-        "sweep-worker",
-        help="serve a socket-backend sweep as a worker process",
-        description=(
-            "Connect to a 'repro sweep --backend socket' server, "
-            "execute the trials it dispatches, and stream results "
-            "back. Run one per core on as many hosts as you like; "
-            "workers may join and leave mid-sweep, and a crashed "
-            "worker's in-flight trial is re-dispatched."
-        ),
-    )
-    sub.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="sweep server to connect to",
-    )
-    sub.add_argument(
-        "--max-trials",
-        type=int,
-        default=None,
-        help="leave gracefully after this many trials (default: serve "
-        "until the sweep ends)",
-    )
-    sub.add_argument(
-        "--crash-after",
-        type=int,
-        default=None,
-        help="TESTING: hard-exit on receiving the next trial after "
-        "this many completions (simulates a worker crash)",
-    )
-    sub.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="keep retrying a refused connection for this long — "
-        "covers the race where workers start a beat before the "
-        "server is listening (default: 10)",
-    )
-    sub.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="shared secret for servers started with --auth-token "
-        "(default: $REPRO_SWEEP_AUTH)",
-    )
-    sub.add_argument(
-        "--verbose",
-        action="store_true",
-        help="narrate per-trial progress",
-    )
-    sub.set_defaults(func=_run_sweep_worker)
     sub = subparsers.add_parser(
         "node",
         help="run one live asyncio/UDP gossip node",

@@ -17,9 +17,8 @@ those runs as structured data, and :func:`regenerate_all` all of them
 as tables; :mod:`repro.experiments.report` renders paper-style tables;
 and :mod:`repro.experiments.sweep` expands declarative
 (scenario × protocol × N × fanout × seed) grids into independent
-trials executed through a pluggable backend — serial, local process
-pool, or a TCP work queue spanning hosts
-(:mod:`repro.experiments.sweep_backends`) — with deterministic
+trials executed through a pluggable backend — serial or a local
+process pool (:mod:`repro.experiments.sweep_backends`) — with deterministic
 aggregation and resume-from-cache
 (:mod:`repro.experiments.sweep_results`,
 :mod:`repro.experiments.scenario_matrix`).
@@ -61,7 +60,6 @@ import repro.experiments.scheduling_optimal  # noqa: F401  isort: skip
 from repro.experiments.sweep_backends import (
     InlineBackend,
     ProcessPoolBackend,
-    SocketWorkerBackend,
     SweepBackend,
     resolve_backend,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "RingConvergenceProbe",
     "ScenarioRuns",
     "ScenarioSelection",
-    "SocketWorkerBackend",
     "SweepBackend",
     "SweepResult",
     "SweepSpec",

@@ -429,9 +429,8 @@ class _OverlayContext:
 
 
 # Set around each executor call by execute_trial. Trial executors run
-# one-per-process (inline loop, pool worker, socket worker), so a plain
-# module global with save/restore semantics is sufficient; the socket
-# server's handler threads never execute trials.
+# one-per-process (inline loop or pool worker), so a plain module
+# global with save/restore semantics is sufficient.
 _OVERLAY_CONTEXT: Optional[_OverlayContext] = None
 
 def execute_trial(

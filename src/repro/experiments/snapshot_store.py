@@ -57,7 +57,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
-import threading
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -101,8 +100,8 @@ _ENTRY_MAGIC = b"RSNAPZ1\n"
 
 #: Populations at (or above) this size store their snapshot as a
 #: base64 ``.npz`` payload (:mod:`repro.arraysim.codec`) instead of the
-#: nested-JSON form — roughly an order of magnitude smaller on disk and
-#: on the socket wire. The codec canonicalises zero-valued
+#: nested-JSON form — roughly an order of magnitude smaller on disk.
+#: The codec canonicalises zero-valued
 #: ``ring_ids``/``join_cycles`` entries away, which no post-freeze
 #: consumer can observe, but small seed-scale entries keep the exact
 #: JSON round-trip anyway.
@@ -438,11 +437,6 @@ class SnapshotProvider:
             derived from the fanout-independent overlay key; real
             cross-fanout sharing, a different deterministic design).
         max_memo: In-memory entries kept per process.
-        collect_built: Keep serialized entries for overlays built by
-            this provider until :meth:`drain_built_entries` is called.
-            Only socket workers enable this (they ship built overlays
-            back per trial); leaving it on without a drain consumer
-            would grow memory with every cold build.
         max_store_bytes: Size cap for the on-disk store;
             :func:`gc_snapshot_store` runs after every write this
             provider makes, evicting least-recently-used entries until
@@ -454,7 +448,6 @@ class SnapshotProvider:
         store_dir: Optional[Union[str, Path]] = None,
         mode: str = "trial",
         max_memo: int = 16,
-        collect_built: bool = False,
         max_store_bytes: Optional[int] = None,
     ) -> None:
         if mode not in OVERLAY_REUSE_MODES:
@@ -471,23 +464,11 @@ class SnapshotProvider:
         )
         self.mode = mode
         self.max_memo = max_memo
-        self.collect_built = collect_built
         self.max_store_bytes = max_store_bytes
         self._memo: Dict[str, Tuple[OverlaySnapshot, Dict[str, float]]] = {}
-        # Serialized wire entries by address: entries are immutable per
-        # address, and re-serializing + re-hashing a whole overlay for
-        # every sibling dispatch on the socket server would be O(links)
-        # redundant work per trial.
-        self._entry_memo: Dict[str, Dict[str, Any]] = {}
-        # The socket server consults the provider from several handler
-        # threads; memo mutation is the only shared write.
-        self._lock = threading.Lock()
         # Counters for benches/tests; "builds" is the number of real
         # warm-ups paid, everything else was reuse.
         self.stats = {"memo_hits": 0, "store_hits": 0, "builds": 0}
-        # Entries built since the last drain — the socket worker ships
-        # these back so the server can seed its own store.
-        self._built_entries: list = []
 
     # -- identity -------------------------------------------------------
 
@@ -549,67 +530,18 @@ class SnapshotProvider:
         snapshot, extras = builder(spec, config, registry)
         extras = {name: float(value) for name, value in extras.items()}
         self.stats["builds"] += 1
-        if self.store_dir is not None or self.collect_built:
-            # Serialize + integrity-hash exactly once, shared between
-            # the disk write, the wire (worker → server), and the
-            # dispatch memo.
-            entry = _entry_payload(spec, config, seed, snapshot, extras)
-            if self.store_dir is not None:
-                self._persist(address, entry)
-            if self.collect_built:
-                self._built_entries.append(entry)
-            self._remember_entry(address, entry)
+        if self.store_dir is not None:
+            self._persist(
+                address, _entry_payload(spec, config, seed, snapshot, extras)
+            )
         built = (snapshot, extras)
         self._remember(address, built)
         return built
 
     def _remember(self, address: str, value) -> None:
-        with self._lock:
-            if (
-                address not in self._memo
-                and len(self._memo) >= self.max_memo
-            ):
-                self._memo.pop(next(iter(self._memo)))  # FIFO eviction
-            self._memo[address] = value
-
-    def _remember_entry(self, address: str, entry: Dict[str, Any]) -> None:
-        with self._lock:
-            if (
-                address not in self._entry_memo
-                and len(self._entry_memo) >= self.max_memo
-            ):
-                self._entry_memo.pop(next(iter(self._entry_memo)))
-            self._entry_memo[address] = entry
-
-    # -- cross-process entry exchange (socket backend) ------------------
-
-    def preload_entry(
-        self,
-        entry: Mapping[str, Any],
-        spec: TrialSpec,
-        config: ExperimentConfig,
-        root_seed: int,
-    ) -> bool:
-        """Absorb a serialized entry (from the wire or another store).
-
-        The entry is validated exactly like a disk read — identity,
-        integrity hash, shape — and silently ignored when it does not
-        match this trial's overlay; the trial then just rebuilds.
-        """
-        seed = self.overlay_seed(spec, root_seed)
-        if not castore.entry_is_intact(entry):
-            return False
-        decoded = _decode_entry(entry, spec, config, seed)
-        if decoded is None:
-            return False
-        address = snapshot_address(spec, config, seed)
-        self._remember(address, decoded)
-        self._remember_entry(address, dict(entry))
-        if self.store_dir is not None and not snapshot_path(
-            self.store_dir, address
-        ).exists():
-            self._persist(address, entry)
-        return True
+        if address not in self._memo and len(self._memo) >= self.max_memo:
+            self._memo.pop(next(iter(self._memo)))  # FIFO eviction
+        self._memo[address] = value
 
     def _persist(self, address: str, entry: Mapping[str, Any]) -> None:
         """Write one already-serialized entry, then enforce the cap."""
@@ -628,36 +560,23 @@ class SnapshotProvider:
         self, spec: TrialSpec, config: ExperimentConfig, root_seed: int
     ) -> Optional[Dict[str, Any]]:
         """The serialized entry for a trial's overlay, if already known
-        (memo or disk) — what the socket server attaches to dispatches."""
+        (memo or disk)."""
         seed = self.overlay_seed(spec, root_seed)
         address = snapshot_address(spec, config, seed)
-        entry = self._entry_memo.get(address)
-        if entry is not None:
-            return entry
         cached = self._memo.get(address)
         if cached is not None:
-            entry = _entry_payload(spec, config, seed, cached[0], cached[1])
-            self._remember_entry(address, entry)
-            return entry
+            return _entry_payload(spec, config, seed, cached[0], cached[1])
         if self.store_dir is None:
             return None
-        # Disk path: the file *is* the serialized entry — forward it
+        # Disk path: the file *is* the serialized entry — return it
         # after the cheap identity + integrity checks instead of
-        # decoding a whole overlay just to re-encode and re-hash it
-        # per dispatch (the receiving worker fully validates anyway).
+        # decoding a whole overlay just to re-encode and re-hash it.
         path = snapshot_path(self.store_dir, address)
         raw = castore.read_entry(path, _ENTRY_MAGIC)
         if raw is None or not _identity_matches(raw, spec, config, seed):
             return None
         castore.touch(path)
-        self._remember_entry(address, raw)
         return raw
-
-    def drain_built_entries(self) -> list:
-        """Entries built since the last drain (socket workers ship them
-        back with their results so the server's store warms up)."""
-        built, self._built_entries = self._built_entries, []
-        return built
 
     # -- pickling: configuration only, never the memo -------------------
 
@@ -666,7 +585,6 @@ class SnapshotProvider:
             "store_dir": self.store_dir,
             "mode": self.mode,
             "max_memo": self.max_memo,
-            "collect_built": self.collect_built,
             "max_store_bytes": self.max_store_bytes,
         }
 
@@ -675,7 +593,6 @@ class SnapshotProvider:
             store_dir=state["store_dir"],
             mode=state["mode"],
             max_memo=state["max_memo"],
-            collect_built=state["collect_built"],
             max_store_bytes=state.get("max_store_bytes"),
         )
 

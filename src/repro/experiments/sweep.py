@@ -7,9 +7,7 @@ expands a declarative
 :class:`~repro.experiments.sweep_results.TrialSpec` cells and executes
 them through a pluggable
 :class:`~repro.experiments.sweep_backends.SweepBackend` — serially
-in-process (``inline``), across a local process pool (``process``), or
-over a TCP work queue spanning several hosts (``socket``; workers run
-``repro sweep-worker --connect host:port``).
+in-process (``inline``) or across a local process pool (``process``).
 
 Determinism is the design constraint: each trial derives its entire RNG
 universe from ``(root_seed, spec.key)`` via
@@ -23,8 +21,9 @@ backend ran it, at any worker count
 Completed trials can be persisted to a cache directory; re-running the
 same sweep (or a superset grid) skips them, which turns an interrupted
 overnight sweep into a cheap resume. The per-trial cache is also the
-unit of distribution: socket workers stream finished trials back into
-it one by one.
+unit of distribution: a cache file's address does not depend on the
+rest of the grid, so parts of a grid run on different machines into
+their own caches merge by copying the directories together.
 """
 
 from __future__ import annotations
@@ -104,12 +103,9 @@ def run_sweep(
     cache_dir: Optional[Union[str, Path]] = None,
     progress: Optional[SweepProgress] = None,
     backend: Union[str, SweepBackend, None] = None,
-    listen: Optional[Tuple[str, int]] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
     snapshot_cache_max_bytes: Optional[int] = None,
-    trial_deadline: Optional[float] = None,
-    auth_token: Optional[str] = None,
 ) -> SweepResult:
     """Expand ``grid``, execute every trial, aggregate into a result.
 
@@ -123,18 +119,15 @@ def run_sweep(
             :class:`ExperimentConfig`'s paper-mirroring defaults.
         root_seed: Root of every trial's RNG universe.
         workers: Execution width — pool processes for the ``process``
-            backend, spawned local worker processes for ``socket``
-            (``0`` there means external workers only). Any value
-            produces identical results — parallelism is pure speed.
+            backend. Any value produces identical results —
+            parallelism is pure speed.
         cache_dir: When given, finished trials are persisted there and
             already-cached trials are skipped on re-runs (resume).
         progress: Optional ``(trial_key, seconds, cached)`` callback.
-        backend: ``"inline"``, ``"process"``, ``"socket"``, a
+        backend: ``"inline"``, ``"process"``, a
             :class:`~repro.experiments.sweep_backends.SweepBackend`
-            instance, or ``None`` for the historical default (inline
-            at ``workers=1``, process pool otherwise).
-        listen: ``(host, port)`` the socket backend binds; ignored by
-            the in-process backends.
+            instance, or ``None`` for the default (inline at
+            ``workers=1``, process pool otherwise).
         snapshot_cache: Directory of the content-addressed overlay
             snapshot store (see
             :mod:`repro.experiments.snapshot_store`). Built overlays
@@ -152,20 +145,18 @@ def run_sweep(
         snapshot_cache_max_bytes: Size cap for the on-disk snapshot
             store; least-recently-used entries are evicted after each
             write to keep the directory under the cap. ``None`` means
-            unbounded.
-        trial_deadline: Socket backend only — seconds a dispatched
-            trial may sit unanswered on a live connection before the
-            worker is dropped and the trial re-dispatched. ``None``
-            keeps the backend default.
-        auth_token: Socket backend only — shared secret authenticating
-            workers and every post-hello wire frame (HMAC-SHA256).
-            Workers must present the same token or they are cleanly
-            rejected at hello time.
+            unbounded; a cap without ``snapshot_cache`` is a
+            :class:`~repro.common.errors.ConfigurationError`.
     """
     if overlay_reuse not in OVERLAY_REUSE_MODES:
         raise ConfigurationError(
             f"unknown overlay_reuse {overlay_reuse!r}; expected one of "
             f"{OVERLAY_REUSE_MODES}"
+        )
+    if snapshot_cache_max_bytes is not None and snapshot_cache is None:
+        raise ConfigurationError(
+            "snapshot_cache_max_bytes (--snapshot-cache-max-bytes) caps "
+            "the on-disk snapshot store, and this sweep has none"
         )
     provider = (
         SnapshotProvider(
@@ -176,10 +167,7 @@ def run_sweep(
         if snapshot_cache is not None or overlay_reuse != "trial"
         else None
     )
-    backend_obj = resolve_backend(
-        backend, workers=workers, listen=listen,
-        trial_deadline=trial_deadline, auth_token=auth_token,
-    )
+    backend_obj = resolve_backend(backend, workers=workers)
     config = base_config if base_config is not None else ExperimentConfig()
     specs = grid.expand()
 

@@ -10,7 +10,7 @@ misses concentrate entirely on freshly joined nodes.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable
 
 __all__ = ["lifetime_histogram"]
 
@@ -19,9 +19,3 @@ def lifetime_histogram(lifetimes: Iterable[int]) -> Dict[int, int]:
     """Histogram ``{lifetime: node count}`` of a lifetime sequence."""
     return dict(Counter(lifetimes))
 
-
-def lifetimes_of(
-    node_ids: Iterable[int], join_cycles: Mapping[int, int], now: int
-) -> List[int]:
-    """Lifetimes at cycle ``now`` for the given nodes."""
-    return [now - join_cycles.get(node_id, 0) for node_id in node_ids]

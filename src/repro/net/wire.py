@@ -28,13 +28,14 @@ import socket
 import time
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 
 __all__ = [
     "AddressBook",
     "MAX_DATAGRAM_BYTES",
     "decode_datagram",
     "encode_datagram",
+    "parse_endpoint",
     "send_publish",
 ]
 
@@ -42,6 +43,24 @@ MAX_DATAGRAM_BYTES = 60000
 """Refuse to send datagrams larger than this (fragmentation guard)."""
 
 Address = Tuple[str, int]
+
+
+def parse_endpoint(text: str) -> Address:
+    """``"host:port"`` → ``(host, port)`` (IPv4 / hostname)."""
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise ConfigurationError(
+            f"endpoint {text!r} is not of the form host:port"
+        )
+    try:
+        number = int(port)
+    except ValueError:
+        raise ConfigurationError(
+            f"endpoint {text!r} has a non-numeric port"
+        ) from None
+    if not 0 <= number <= 65535:
+        raise ConfigurationError(f"port {number} out of range")
+    return host, number
 
 
 def encode_datagram(obj: Dict[str, Any]) -> bytes:

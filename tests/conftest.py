@@ -12,6 +12,8 @@ The same goes for the scenario runs behind the paper's figures: one
 from __future__ import annotations
 
 import random
+import shutil
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -97,6 +99,32 @@ def build_warm_population(
     population = build_population(config, spec, RngRegistry(seed))
     warm_up(population)
     return population
+
+
+def run_split_and_merge(whole, parts, run, root):
+    """Spread a sweep the way several machines would, then merge it.
+
+    Runs each grid in ``parts`` into its own trial cache under ``root``,
+    copies those caches into ``root / "merged"``, and runs ``whole``
+    over the merged cache. ``run(grid, cache_dir, progress)`` runs one
+    sweep. Asserts that the parts' trials partition the whole's and
+    that the merged run serves every trial from the cache; returns its
+    result.
+    """
+    assert sum(
+        (Counter(part.expand()) for part in parts), Counter()
+    ) == Counter(whole.expand())
+    merged = root / "merged"
+    for index, part in enumerate(parts):
+        cache = root / f"part{index}"
+        run(part, cache, None)
+        shutil.copytree(cache, merged, dirs_exist_ok=True)
+    cached = []
+    result = run(
+        whole, merged, lambda _key, _seconds, was_cached: cached.append(was_cached)
+    )
+    assert len(cached) == len(whole.expand()) and all(cached)
+    return result
 
 
 @pytest.fixture

@@ -139,63 +139,35 @@ class TestCli:
             "all",
             "demo",
             "sweep",
-            "sweep-worker",
         ):
             assert name in text
 
     def test_sweep_backend_flags_parse(self):
+        # --workers alone picks inline (1) or a process pool (more);
+        # there is no --backend to disagree with it.
         parser = build_parser()
-        args = parser.parse_args(
-            [
-                "sweep",
-                "--backend",
-                "socket",
-                "--workers",
-                "0",
-                "--listen",
-                "0.0.0.0:7777",
-            ]
-        )
-        assert args.backend == "socket"
-        assert args.workers == 0
-        assert args.listen == "0.0.0.0:7777"
-        # Default stays the historical auto-selection.
-        assert parser.parse_args(["sweep"]).backend is None
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--backend", "quantum"])
+        assert parser.parse_args(["sweep", "--workers", "3"]).workers == 3
+        assert parser.parse_args(["sweep"]).workers == 1
+        assert not hasattr(parser.parse_args(["sweep"]), "backend")
+        for backend in ("socket", "process", "inline"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["sweep", "--backend", backend])
+            assert excinfo.value.code == 2, backend
 
-    def test_sweep_worker_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "sweep-worker",
-                "--connect",
-                "host:7777",
-                "--max-trials",
-                "3",
-                "--crash-after",
-                "1",
-            ]
-        )
-        assert args.connect == "host:7777"
-        assert args.max_trials == 3
-        assert args.crash_after == 1
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep-worker"])  # --connect required
+    def test_sweep_worker_flags_parse(self, capsys):
+        # The remote sweep worker is gone with the socket work queue.
+        assert "sweep-worker" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-worker", "--connect", "127.0.0.1:7777"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
-    def test_listen_without_socket_backend_rejected(self):
-        # --listen with a local backend would silently run a pool
-        # while remote workers wait on a port nobody opened.
-        with pytest.raises(ConfigurationError, match="socket"):
-            main(
-                [
-                    "sweep",
-                    "--listen",
-                    "0.0.0.0:7777",
-                    "--workers",
-                    "2",
-                ]
-            )
+    def test_listen_without_socket_backend_rejected(self, capsys):
+        # No backend opens a port, so --listen is no flag at all.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--listen", "127.0.0.1:7777", "--workers", "2"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_all_backend_rejects_socket(self):
         # `repro all` has no --backend at all: it only ever meant
@@ -218,8 +190,8 @@ class TestCli:
     def test_net_commands_reject_out_of_range_ports(
         self, monkeypatch, argv, port
     ):
-        # Both parse with the sweep's parse_endpoint, before any socket
-        # is opened.
+        # Both parse with repro.net.wire.parse_endpoint, before any
+        # socket is opened.
         import socket
 
         def no_socket(*args, **kwargs):
@@ -249,8 +221,8 @@ class TestCli:
                 "2",
                 "--warmup",
                 "10",
-                "--backend",
-                "inline",
+                "--workers",
+                "1",
                 "--json",
                 str(tmp_path / "sweep.json"),
             ]

@@ -39,11 +39,11 @@ from repro.experiments.snapshot_store import (
     snapshot_path,
     store_snapshot_entry,
 )
+from repro.common.errors import ProtocolError
 from repro.experiments.sweep_backends import (
     FRAME_DEFLATE_FLAG,
     MAX_FRAME_BYTES,
     FrameDecoder,
-    ProtocolError,
 )
 from repro.experiments.sweep_results import (
     TrialSpec,

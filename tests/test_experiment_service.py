@@ -595,9 +595,12 @@ class TestExperimentServiceCli:
         with pytest.raises(ConfigurationError):
             self.run_cli("sweep", "--max-replicates", "4")
 
-    def test_auth_token_requires_socket_backend(self):
-        with pytest.raises(ConfigurationError):
+    def test_auth_token_requires_socket_backend(self, capsys):
+        # Frame auth went with the socket backend; the flag is unknown.
+        with pytest.raises(SystemExit) as excinfo:
             self.run_cli("sweep", "--auth-token", "secret")
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_adaptive_sweep_prints_allocation(self, tmp_path, capsys):
         assert (
@@ -622,6 +625,13 @@ class TestExperimentServiceCli:
             self.run_cli(
                 "sweep", "--diff", str(spec), str(spec), "--spec", str(spec)
             )
+        # The diff is a text report; --json used to be dropped silently.
+        out = tmp_path / "out.json"
+        with pytest.raises(ConfigurationError, match="--json"):
+            self.run_cli(
+                "sweep", "--diff", str(spec), str(spec), "--json", str(out)
+            )
+        assert not out.exists()
 
     def test_diff_and_report_end_to_end(self, tmp_path, capsys):
         store = tmp_path / "hist"

@@ -1,6 +1,6 @@
 """Tests for lifetime bookkeeping (Figs. 12/13 machinery)."""
 
-from repro.failures.lifetimes import lifetime_histogram, lifetimes_of
+from repro.failures.lifetimes import lifetime_histogram
 
 
 class TestHistogram:
@@ -9,12 +9,3 @@ class TestHistogram:
 
     def test_empty(self):
         assert lifetime_histogram([]) == {}
-
-
-class TestLifetimesOf:
-    def test_computes_from_join_cycles(self):
-        joins = {1: 10, 2: 40}
-        assert lifetimes_of([1, 2], joins, now=50) == [40, 10]
-
-    def test_unknown_node_defaults_to_cycle_zero(self):
-        assert lifetimes_of([9], {}, now=7) == [7]

@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -51,7 +51,6 @@ class TestTopLevelExports:
             (repro.experiments.sweep, "execute_jobs"),
             (repro.experiments.figures, "clear_caches"),
             (repro.experiments.figures, "warm_cache"),
-            (repro.net.wire, "parse_endpoint"),
         ):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in module.__all__
@@ -96,7 +95,6 @@ class TestTopLevelExports:
             backends.SweepBackend.run_trials,
             backends.InlineBackend.run_trials,
             backends.ProcessPoolBackend.run_trials,
-            backends.SocketWorkerBackend.run_trials,
         ):
             parameters = inspect.signature(function).parameters
             assert "core" not in parameters, function.__qualname__
@@ -145,6 +143,69 @@ class TestTopLevelExports:
         ):
             with pytest.raises(ImportError):
                 importlib.import_module(module_name)
+
+    def test_names_removed_in_8_0_0_are_gone(self, capsys):
+        import inspect
+
+        import repro.experiments.sweep as sweep
+        import repro.experiments.sweep_backends as backends
+        import repro.failures.lifetimes as lifetimes
+        import repro.net.wire
+        from repro import api
+        from repro.cli import main
+        from repro.common.errors import ConfigurationError, ProtocolError
+        from repro.experiments.snapshot_store import SnapshotProvider
+
+        # The socket work queue is gone; a sweep spreads over machines
+        # by merging trial caches.
+        for module, name in (
+            (repro.experiments, "SocketWorkerBackend"),
+            (backends, "SocketWorkerBackend"),
+            (backends, "SweepWorkerError"),
+            (backends, "run_worker"),
+            (backends, "config_to_wire"),
+            (backends, "config_from_wire"),
+            (backends, "parse_endpoint"),
+            (backends, "WIRE_FORMAT"),
+            (backends, "DEFAULT_TRIAL_DEADLINE"),
+            (backends, "AUTH_SCHEME"),
+            (lifetimes, "lifetimes_of"),
+        ):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
+        assert backends.BACKEND_NAMES == ("inline", "process")
+        with pytest.raises(ConfigurationError, match="backend"):
+            backends.resolve_backend("socket", workers=2)
+        for name in ("collect_built", "drain_built_entries", "preload_entry"):
+            assert not hasattr(SnapshotProvider(), name), name
+        assert "collect_built" not in inspect.signature(
+            SnapshotProvider
+        ).parameters
+        # The frame codec keeps no auth, and raises the one ProtocolError.
+        assert list(inspect.signature(backends.encode_frame).parameters) == [
+            "message",
+            "compress",
+        ]
+        assert not hasattr(backends.FrameDecoder(), "auth_key")
+        with pytest.raises(ProtocolError):
+            backends.decode_frames(b"\x00\x00\x00\x02[]")
+        # Endpoint parsing lives with the live network's wire format.
+        assert repro.net.wire.parse_endpoint("h:1") == ("h", 1)
+        for function in (
+            api.run_sweep,
+            api.run_adaptive_sweep,
+            sweep.run_sweep,
+            backends.resolve_backend,
+        ):
+            parameters = inspect.signature(function).parameters
+            for name in ("listen", "trial_deadline", "auth_token"):
+                assert name not in parameters, (function.__qualname__, name)
+        # The removed sweep flags exit 2; --backend, --listen,
+        # --auth-token and sweep-worker each have their own CLI test.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--trial-deadline", "5"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "module_name",

@@ -3,9 +3,9 @@
 Pins the PR's load-bearing contracts:
 
 * **Byte identity** — the pre-change golden sweep JSON is reproduced
-  bit-for-bit with the store off, cold, and warm, across the inline /
-  process / socket backends (including combined with the per-trial
-  result cache).
+  bit-for-bit with the store off, cold, and warm, across the inline and
+  process backends (including combined with the per-trial result cache,
+  and with a grid split into parts whose caches merge by copying).
 * **Keying** — the overlay key / grid-mode snapshot address is a pure
   function of the overlay-determining parameters: fanout,
   ``num_messages``, ``kill_fraction``, ``concurrent_messages`` and
@@ -22,9 +22,10 @@ Pins the PR's load-bearing contracts:
   stable sorts, ties included.
 * **Grid overlay reuse** — ``overlay_reuse="grid"`` builds one overlay
   per (family, protocol, replicate) and stays deterministic across
-  backends and worker counts.
+  backends, worker counts and split-and-merge runs.
 """
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -58,7 +59,7 @@ from repro.experiments.sweep_spec import flat_spec
 from repro.experiments.sweep_backends import InlineBackend
 from repro.experiments.sweep_results import TrialSpec
 from repro.common.errors import ConfigurationError
-from tests.conftest import build_snapshot
+from tests.conftest import build_snapshot, run_split_and_merge
 from tests.store_defects import FILE_DEFECTS
 
 DATA = Path(__file__).parent / "data"
@@ -358,7 +359,7 @@ class TestStoreHardening:
 
 
 # ----------------------------------------------------------------------
-# golden byte identity: store off / cold / warm, every backend
+# golden byte identity: store off / cold / warm, every backend, split
 # ----------------------------------------------------------------------
 
 
@@ -401,35 +402,6 @@ class TestGoldenByteIdentityWithStore:
         )
         assert parallel.to_json() + "\n" == golden
 
-    def test_socket_backend_with_store_matches_inline(self, tmp_path):
-        inline = run_sweep(
-            SMALL_GRID, base_config=SMALL_BASE, root_seed=5
-        ).to_json()
-        store = tmp_path / "snapshots"
-        over_socket = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            backend="socket",
-            workers=2,
-            snapshot_cache=store,
-        )
-        assert over_socket.to_json() == inline
-        # Workers built the overlays and shipped them back; the server
-        # absorbed every one into its store.
-        assert len(list(store.glob("overlay_*.json"))) == len(
-            SMALL_GRID.expand()
-        )
-        warm = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            backend="socket",
-            workers=2,
-            snapshot_cache=store,
-        )
-        assert warm.to_json() == inline
-
     def test_snapshot_store_composes_with_trial_cache(self, tmp_path):
         golden = golden_bytes("golden_sweep_small_pre_redesign.json")
         grid = flat_spec(
@@ -463,6 +435,41 @@ class TestGoldenByteIdentityWithStore:
         )
         assert events and all(events)  # trial cache still wins outright
         assert resumed.to_json() + "\n" == golden
+
+    def test_split_by_scenario_merges_to_golden(self, tmp_path):
+        # The five-scenario ringcast grid, run as two parts into their
+        # own trial caches and snapshot stores, merged by copying.
+        def grid_of(scenarios):
+            return flat_spec(
+                scenarios=scenarios,
+                protocols=("ringcast",),
+                num_nodes=(40,),
+                fanouts=(2,),
+                replicates=1,
+                num_messages=2,
+                kill_fractions=(0.05,),
+                churn_rates=(0.02,),
+                concurrent_messages=3,
+                pulls_per_round=1,
+            )
+
+        scenarios = tuple(s.name for s in GOLDEN_GRID.scenarios)
+        merged = run_split_and_merge(
+            grid_of(scenarios),
+            [grid_of(scenarios[:2]), grid_of(scenarios[2:])],
+            lambda grid, cache, progress: run_sweep(
+                grid,
+                base_config=GOLDEN_BASE,
+                root_seed=11,
+                cache_dir=cache,
+                snapshot_cache=cache / "snapshots",
+                progress=progress,
+            ),
+            tmp_path,
+        )
+        assert merged.to_json() + "\n" == golden_bytes(
+            "golden_sweep_small_pre_redesign.json"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -529,15 +536,38 @@ class TestGridOverlayReuse:
             workers=4,
         ).to_json()
         assert pooled == inline
-        over_socket = run_sweep(
+
+    def test_grid_mode_split_by_fanout_merges_to_inline(self, tmp_path):
+        # Each part holds every overlay group's trials at one fanout, so
+        # both parts build the same shared overlays; their snapshot
+        # entries are content-addressed and merge into one copy each.
+        inline = run_sweep(
             SMALL_GRID,
             base_config=SMALL_BASE,
             root_seed=5,
             overlay_reuse="grid",
-            backend="socket",
-            workers=2,
         ).to_json()
-        assert over_socket == inline
+        parts = [
+            dataclasses.replace(SMALL_GRID, fanouts=(fanout,))
+            for fanout in SMALL_GRID.fanouts
+        ]
+        merged = run_split_and_merge(
+            SMALL_GRID,
+            parts,
+            lambda grid, cache, progress: run_sweep(
+                grid,
+                base_config=SMALL_BASE,
+                root_seed=5,
+                cache_dir=cache,
+                snapshot_cache=cache / "snapshots",
+                overlay_reuse="grid",
+                progress=progress,
+            ),
+            tmp_path,
+        )
+        assert merged.to_json() == inline
+        stored = list((tmp_path / "merged" / "snapshots").glob("overlay_*.json"))
+        assert len(stored) == len(SMALL_GRID.protocols)
 
     def test_trial_cache_never_mixes_overlay_modes(self, tmp_path):
         """Resuming a trial-mode result cache into a grid-mode sweep
@@ -611,62 +641,6 @@ class TestGridOverlayReuse:
                 root_seed=5,
                 overlay_reuse="cosmic",
             )
-
-    def test_grid_mode_turns_away_snapshotless_workers(self):
-        """A pre-snapshot worker would build overlays in the legacy
-        per-trial universes and silently diverge under grid reuse — the
-        handshake must reject it while capable workers finish the
-        sweep untouched."""
-        import socket
-        import threading
-
-        from repro.experiments.sweep_backends import (
-            WIRE_FORMAT,
-            FrameDecoder,
-            SocketWorkerBackend,
-            encode_frame,
-        )
-
-        backend = SocketWorkerBackend(workers=1, idle_timeout=60.0)
-        outcome = {}
-
-        def stale_client():
-            address = backend.wait_listening()
-            conn = socket.create_connection(address, timeout=30)
-            # A valid wire-format hello *without* the snapshots
-            # capability — exactly what a pre-store build sends.
-            conn.sendall(
-                encode_frame({"type": "hello", "format": WIRE_FORMAT})
-            )
-            decoder = FrameDecoder()
-            inbox = []
-            while not inbox:
-                data = conn.recv(65536)
-                if not data:
-                    break
-                inbox.extend(decoder.feed(data))
-            outcome["reply"] = inbox[0] if inbox else None
-            conn.close()
-
-        thread = threading.Thread(target=stale_client, daemon=True)
-        thread.start()
-        inline = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            overlay_reuse="grid",
-        ).to_json()
-        result = run_sweep(
-            SMALL_GRID,
-            base_config=SMALL_BASE,
-            root_seed=5,
-            overlay_reuse="grid",
-            backend=backend,
-        )
-        thread.join(timeout=30)
-        assert result.to_json() == inline
-        assert outcome["reply"]["type"] == "reject"
-        assert "snapshot-capable" in outcome["reply"]["reason"]
 
 
 # ----------------------------------------------------------------------
@@ -911,6 +885,25 @@ class TestCliSnapshotFlags:
         )
         assert not (tmp_path / "snapshots").exists()
         capsys.readouterr()
+
+    def test_cap_without_a_store_rejected(self, tmp_path):
+        from repro.cli import main
+
+        # No --cache, so no store: the cap would be silently ignored.
+        with pytest.raises(ConfigurationError, match="max-bytes"):
+            main(self.ARGS + ["--snapshot-cache-max-bytes", "-1"])
+        with pytest.raises(ConfigurationError, match="max-bytes"):
+            main(
+                self.ARGS
+                + [
+                    "--cache",
+                    str(tmp_path),
+                    "--no-snapshot-cache",
+                    "--snapshot-cache-max-bytes",
+                    "100000",
+                ]
+            )
+        assert not list(tmp_path.iterdir())  # refused before any trial
 
     def test_conflicting_snapshot_flags_rejected(self, tmp_path):
         from repro.cli import main

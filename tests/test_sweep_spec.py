@@ -5,7 +5,7 @@ pre-redesign scenarios is **byte-identical** to the seed
 implementation (goldens recorded against the pre-redesign code in
 ``tests/data/``), whether the sweep is described by ``flat_spec``,
 plain scenario names, or a spec file, and whichever backend (inline /
-process / socket) runs it. On top of that: hypothesis round-trip
+process) runs it. On top of that: hypothesis round-trip
 properties for ``SweepSpec`` serialisation, the auto-generated CLI
 (including that a runtime-registered plugin scenario gets its flag
 with zero CLI edits, and that the flat kwargs and flags removed in
@@ -351,7 +351,7 @@ class TestGoldenCrossBackend:
     def small_spec(self):
         return SMALL_GRID
 
-    @pytest.mark.parametrize("backend", ["inline", "process", "socket"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_backend_matches_seed_bytes(self, small_spec, backend):
         golden = golden_bytes("golden_sweep_small_pre_redesign.json")
         result = run_sweep(
