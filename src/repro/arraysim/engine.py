@@ -34,6 +34,7 @@ import numpy as np
 from repro.arraysim.overlay import ArrayOverlay
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngRegistry, child_seed
+from repro.core.targets import check_fanout
 from repro.dissemination.executor import (
     DisseminationResult,
     disseminate as _object_disseminate,
@@ -119,8 +120,7 @@ def disseminate_many(
     """
     if not isinstance(overlay, ArrayOverlay):
         overlay = ArrayOverlay.from_snapshot(overlay)
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
+    check_fanout(fanout, 1)
     mode = _MODE_FOR_POLICY.get(type(policy))
     if mode is None:
         raise ConfigurationError(

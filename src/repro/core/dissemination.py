@@ -25,6 +25,7 @@ from repro.core.messages import (
     PullResponse,
 )
 from repro.core.targets import (
+    check_fanout,
     flooding_targets,
     randcast_targets,
     ringcast_targets,
@@ -74,8 +75,7 @@ class DisseminationCore:
                 f"unknown dissemination protocol {protocol!r} "
                 f"(expected one of {PROTOCOLS})"
             )
-        if fanout < 0:
-            raise ConfigurationError(f"fanout must be >= 0, got {fanout}")
+        check_fanout(fanout, 0)
         self.node_id = node_id
         self.protocol = protocol
         self.fanout = fanout

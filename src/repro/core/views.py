@@ -32,6 +32,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ProtocolError
+from repro.core.targets import draw_sample
 from repro.sim.node import NodeProfile
 
 __all__ = ["NodeDescriptor", "PartialView", "merge_unique"]
@@ -165,7 +166,7 @@ class PartialView:
         ]
         if count >= len(pool):
             return pool
-        return rng.sample(pool, count)
+        return draw_sample(pool, count, rng)
 
     def random_ids(
         self,

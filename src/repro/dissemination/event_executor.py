@@ -6,10 +6,14 @@ gossiping period" had "no effect whatsoever on the macroscopic behavior
 of disseminations". This driver reproduces that experiment: the same
 forwarding loop runs the same target policies over the same frozen
 snapshot, but under a *timed* schedule — each send arrives after a
-per-message latency sample, in ``(time, insertion)`` order. Temporal
-interleavings change; the set of reachable nodes, for deterministic
-policies, cannot. With unit latency the schedule degenerates to hop
-counting and the result equals the hop-synchronous one field for field.
+per-message latency sample, in ``(time, insertion)`` order. The
+schedule walks a round's ``(sender, targets)`` entries in holder and
+target order, so the latency draws follow the target draws exactly as
+the sends were made, and returns the one earliest arrival as
+``[(sender, [target])]``. Temporal interleavings change; the set of
+reachable nodes, for deterministic policies, cannot. With unit latency
+the schedule degenerates to hop counting and the result equals the
+hop-synchronous one field for field.
 
 The latency ablation bench (`bench_ablation_latency`) compares this
 driver against the hop-synchronous one across latency models.
@@ -24,9 +28,10 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.core.targets import check_fanout
 from repro.dissemination.executor import (
     DisseminationResult,
-    _Send,
+    _Sends,
     _forward_rounds,
 )
 from repro.dissemination.policies import TargetPolicy
@@ -63,14 +68,13 @@ def disseminate_event_driven(
     one deeper than the sender of the copy it received first).
 
     Raises:
-        ConfigurationError: For a non-positive fanout or a negative
-            ``forward_delay``.
+        ConfigurationError: For a fanout that is not a positive
+            integer, or a negative ``forward_delay``.
         SimulationError: When ``origin`` is not alive, or a send's
             delay (``forward_delay`` + latency sample) is negative or
             NaN.
     """
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
+    check_fanout(fanout, 1)
     if not snapshot.is_alive(origin):
         raise SimulationError(f"origin {origin} is not alive")
     if forward_delay < 0:
@@ -83,26 +87,27 @@ def disseminate_event_driven(
     insertion = itertools.count()
     arrival_times: List[float] = []
 
-    def earliest_arrival(sends: List[_Send]) -> List[_Send]:
+    def earliest_arrival(sends: List[_Sends]) -> List[_Sends]:
         """The timed schedule: one arrival per round, earliest first.
 
         Rounds of one keep the stream's draw order — a receiver's
-        target draws, then its sends' latency draws — whatever ties the
-        latency model produces.
+        target draws, then its sends' latency draws, in target order —
+        whatever ties the latency model produces.
         """
         now = arrival_times[-1] if arrival_times else 0.0
-        for target, sender in sends:
-            delay = forward_delay + model.sample(sender, target, rng)
-            if not delay >= 0:
-                raise SimulationError(f"negative delay: {delay}")
-            heapq.heappush(
-                in_flight, (now + delay, next(insertion), target, sender)
-            )
+        for sender, targets in sends:
+            for target in targets:
+                delay = forward_delay + model.sample(sender, target, rng)
+                if not delay >= 0:
+                    raise SimulationError(f"negative delay: {delay}")
+                heapq.heappush(
+                    in_flight, (now + delay, next(insertion), target, sender)
+                )
         if not in_flight:
             return []
         time, _, target, sender = heapq.heappop(in_flight)
         arrival_times.append(time)
-        return [(target, sender)]
+        return [(sender, [target])]
 
     result, rounds = _forward_rounds(
         lambda holders: (snapshot, holders),

@@ -11,9 +11,12 @@ That receive / dedup / count / forward step is written once, in
 over it that differs in two seams only:
 
 * the *schedule* decides which of the messages in flight arrive next.
+  A round hands it one ``(sender, targets)`` entry per forwarding
+  holder, in holder order, and takes back the arrivals in the same
+  shape: one target list per holder.
   :func:`disseminate` counts hops — everything sent in one round
-  arrives together in the next — which is the unit-latency case of the
-  timed schedule of
+  arrives together in the next, so the entries pass through unchanged
+  — which is the unit-latency case of the timed schedule of
   :func:`~repro.dissemination.event_executor.disseminate_event_driven`
   (§7.1: varying the forwarding time had "no effect whatsoever");
 * the *overlay provider* decides what a round reads: the frozen
@@ -34,7 +37,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
+from repro.core.targets import check_fanout
 from repro.dissemination.policies import TargetPolicy
 from repro.dissemination.snapshot import OverlaySnapshot
 
@@ -124,18 +128,18 @@ class DisseminationResult:
 
 #: A node holding a fresh copy, and who sent it (``None`` at the origin).
 _Holder = Tuple[int, Optional[int]]
-#: One message in flight: ``(target, sender)``.
-_Send = Tuple[int, int]
+#: One holder's forwarding step: ``(sender, targets)``.
+_Sends = Tuple[int, List[int]]
 
 
-def _same_round(sends: List[_Send]) -> List[_Send]:
+def _same_round(sends: List[_Sends]) -> List[_Sends]:
     """The hop schedule: everything sent this round arrives together."""
     return sends
 
 
 def _forward_rounds(
     overlay: Callable[[List[_Holder]], Tuple[OverlaySnapshot, List[_Holder]]],
-    schedule: Callable[[List[_Send]], List[_Send]],
+    schedule: Callable[[List[_Sends]], List[_Sends]],
     population_ids: Callable[[], Sequence[int]],
     policy: TargetPolicy,
     fanout: int,
@@ -147,17 +151,20 @@ def _forward_rounds(
 
     A round starts from the nodes holding a fresh copy. ``overlay``
     maps them to the snapshot this round reads and the holders still
-    able to forward; each sends to its policy's targets; ``schedule``
-    takes those sends and returns the ones that arrive next (none ends
-    the run). Every arrival is lost to a dead node, dropped as a
-    duplicate, or a first receipt that makes its receiver a holder of
-    the next round. ``population_ids`` is asked for the hit-ratio
+    able to forward; each holder's policy targets become one
+    ``(sender, targets)`` entry, in holder order; ``schedule`` takes
+    those and returns, in the same shape, the sends that arrive next
+    (none ends the run). Every arrival is lost to a dead node, dropped
+    as a duplicate, or a first receipt that makes its receiver a holder
+    of the next round. ``population_ids`` is asked for the hit-ratio
     denominator once the flight is over.
 
     Returns the result, its hops counted in rounds, and each round's
     first receipts as ``(node, sender)`` in arrival order.
     """
+    select = policy.select_targets
     notified = {origin}
+    notify = notified.add
     holders: List[_Holder] = [(origin, None)]
     rounds: List[List[_Holder]] = []
     msgs_virgin = 0
@@ -167,16 +174,13 @@ def _forward_rounds(
     received_per_node: Dict[int, int] = {}
 
     while True:
-        sends: List[_Send] = []
+        sends: List[_Sends] = []
         if holders:
             snapshot, holders = overlay(holders)
             alive = snapshot.alive_set
             for node_id, sender_id in holders:
-                targets = policy.select_targets(
-                    snapshot, node_id, sender_id, fanout, rng
-                )
-                for target in targets:
-                    sends.append((target, node_id))
+                targets = select(snapshot, node_id, sender_id, fanout, rng)
+                sends.append((node_id, targets))
                 if collect_load:
                     sent_per_node[node_id] = (
                         sent_per_node.get(node_id, 0) + len(targets)
@@ -185,20 +189,24 @@ def _forward_rounds(
         if not arrivals:
             break
         holders = []
-        for target, sender in arrivals:
-            if target not in alive:
-                msgs_to_dead += 1
-                continue
-            if collect_load:
-                received_per_node[target] = (
-                    received_per_node.get(target, 0) + 1
-                )
-            if target in notified:
-                msgs_redundant += 1
-                continue
-            notified.add(target)
-            msgs_virgin += 1
-            holders.append((target, sender))
+        hold = holders.append
+        for sender, targets in arrivals:
+            for target in targets:
+                # Liveness first: a live overlay may see a notified
+                # node die, and a send to it is lost, not redundant.
+                if target not in alive:
+                    msgs_to_dead += 1
+                    continue
+                if collect_load:
+                    received_per_node[target] = (
+                        received_per_node.get(target, 0) + 1
+                    )
+                if target in notified:
+                    msgs_redundant += 1
+                    continue
+                notify(target)
+                msgs_virgin += 1
+                hold((target, sender))
         rounds.append(holders)
 
     population = population_ids()
@@ -241,11 +249,11 @@ def disseminate(
             (slower; only the load-distribution bench needs it).
 
     Raises:
-        ConfigurationError: For a non-positive fanout.
+        ConfigurationError: For a fanout that is not a positive
+            integer.
         SimulationError: When ``origin`` is not alive in the snapshot.
     """
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
+    check_fanout(fanout, 1)
     if not snapshot.is_alive(origin):
         raise SimulationError(f"origin {origin} is not alive")
     result, _ = _forward_rounds(

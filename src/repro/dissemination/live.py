@@ -22,6 +22,7 @@ import random
 from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.core.targets import check_fanout
 from repro.dissemination.executor import (
     DisseminationResult,
     _Holder,
@@ -61,16 +62,15 @@ def disseminate_live(
     not counted against the protocol.
 
     Raises:
-        ConfigurationError: For a non-positive fanout or a negative
-            ``cycles_per_hop``.
+        ConfigurationError: For a fanout that is not a positive
+            integer, or a negative ``cycles_per_hop``.
         SimulationError: When ``origin`` is not alive, or churn left no
             node alive at both ends of the flight (an empty
             denominator).
     """
     from repro.experiments.builder import freeze_overlay
 
-    if fanout < 1:
-        raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
+    check_fanout(fanout, 1)
     if cycles_per_hop < 0:
         raise ConfigurationError(
             f"cycles_per_hop must be >= 0, got {cycles_per_hop}"

@@ -21,7 +21,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.targets import (
     flooding_targets,
     randcast_targets,
-    ringcast_targets,
+    ring_targets,
 )
 from repro.dissemination.snapshot import OverlaySnapshot
 
@@ -120,13 +120,15 @@ class RingCastPolicy(TargetPolicy):
         fanout: int,
         rng: random.Random,
     ) -> List[int]:
-        return ringcast_targets(
-            snapshot.dlinks.get(node_id, ()),
-            snapshot.rlinks.get(node_id, ()),
-            sender_id,
-            fanout,
-            rng,
-        )
+        # ringcast_targets over the snapshot's memoised fill pool, read
+        # only when the d-links leave a budget.
+        targets = ring_targets(snapshot.dlinks.get(node_id, ()), sender_id)
+        budget = fanout - len(targets)
+        if budget > 0:
+            targets += randcast_targets(
+                snapshot.ring_fill(node_id), sender_id, budget, rng
+            )
+        return targets
 
 
 def policy_for_snapshot(snapshot: OverlaySnapshot) -> TargetPolicy:

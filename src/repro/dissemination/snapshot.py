@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.core import targets
 
 __all__ = ["OverlaySnapshot"]
 
@@ -55,10 +56,11 @@ class OverlaySnapshot:
 
     def __post_init__(self) -> None:
         # Precomputed once: membership tests, uniform sampling and the
-        # per-node link unions are all hot-path reads during
-        # dissemination, so none of them may rebuild per call.
+        # per-node link unions and fill pools are all hot-path reads
+        # during dissemination, so none of them may rebuild per call.
         object.__setattr__(self, "alive_set", frozenset(self.alive_ids))
         object.__setattr__(self, "_out_links_cache", {})
+        object.__setattr__(self, "_ring_fill_cache", {})
         object.__setattr__(self, "_d_graph_cache", None)
         if not self.alive_ids:
             raise ConfigurationError("snapshot has no alive nodes")
@@ -167,6 +169,24 @@ class OverlaySnapshot:
         self._out_links_cache[node_id] = links
         return links
 
+    def ring_fill(self, node_id: int) -> Tuple[int, ...]:
+        """RINGCAST's fill pool: the node's r-links that are not d-links.
+
+        Memoised per node like :meth:`out_links`: the pool is
+        :func:`repro.core.targets.ring_fill`, which does not depend on
+        the sender, so every forwarding step of a node shares it.
+        """
+        cached = self._ring_fill_cache.get(node_id)
+        if cached is not None:
+            return cached
+        fill = tuple(
+            targets.ring_fill(
+                self.dlinks.get(node_id, ()), self.rlinks.get(node_id, ())
+            )
+        )
+        self._ring_fill_cache[node_id] = fill
+        return fill
+
     def lifetime_of(self, node_id: int) -> int:
         """Cycles between the node's join and the freeze."""
         return self.frozen_at_cycle - self.join_cycles.get(node_id, 0)
@@ -201,7 +221,7 @@ class OverlaySnapshot:
             return self
         dead = set(rng.sample(self.alive_ids, count))
         survivors = tuple(i for i in self.alive_ids if i not in dead)
-        return OverlaySnapshot(
+        killed = OverlaySnapshot(
             kind=self.kind,
             rlinks=self.rlinks,
             dlinks=self.dlinks,
@@ -210,6 +230,10 @@ class OverlaySnapshot:
             join_cycles=self.join_cycles,
             frozen_at_cycle=self.frozen_at_cycle,
         )
+        # Same link tables, so the per-node link memos carry over.
+        object.__setattr__(killed, "_out_links_cache", self._out_links_cache)
+        object.__setattr__(killed, "_ring_fill_cache", self._ring_fill_cache)
+        return killed
 
     def d_graph(self) -> Dict[int, Tuple[int, ...]]:
         """The d-link subgraph restricted to alive nodes.

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.core.targets import draw_sample
 from repro.dissemination.executor import DisseminationResult
 from repro.dissemination.snapshot import OverlaySnapshot
 
@@ -95,7 +96,7 @@ def pull_recovery(
             if not pool:
                 continue
             count = min(pulls_per_round, len(pool))
-            polled = rng.sample(pool, count)
+            polled = draw_sample(pool, count, rng)
             pull_requests += count
             if any(peer in notified for peer in polled):
                 recovered_this_round.add(node_id)

@@ -16,6 +16,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import List, Tuple
 
+from repro.core.targets import draw_sample
 from repro.sim.network import Network
 
 __all__ = ["OraclePeerSampling", "PeerSamplingService"]
@@ -55,7 +56,7 @@ class OraclePeerSampling(PeerSamplingService):
         pool = [i for i in self.network.alive_ids() if i not in excluded]
         if count >= len(pool):
             return pool
-        return rng.sample(pool, count)
+        return draw_sample(pool, count, rng)
 
     def known_ids(self) -> Tuple[int, ...]:
         return tuple(

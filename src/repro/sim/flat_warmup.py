@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cyclon import CyclonCore
+from repro.core.targets import draw_sample
 from repro.core.vicinity import VicinityCore
 from repro.core.views import NodeDescriptor, PartialView
 from repro.membership.cyclon import Cyclon
@@ -288,7 +289,7 @@ def _gossip(flat: _Flat, rng, cycles: int) -> Tuple[int, int, int]:
     view_size, shuffle_length = flat.cyclon_shape
     layered = flat.vicinity_shape is not None
     vicinity_size, gossip_length, space = flat.vicinity_shape or (0, 0, 0)
-    shuffle, sample, choice = rng.shuffle, rng.sample, rng.choice
+    shuffle, choice = rng.shuffle, rng.choice
     key_of = ring.__getitem__
     # A float like the keys: an int here would be converted on every
     # ``%``, which costs more than the float keys save.
@@ -412,7 +413,7 @@ def _gossip(flat: _Flat, rng, cycles: int) -> Tuple[int, int, int]:
                 shipped = (
                     pool
                     if shuffle_length - 1 >= len(pool)
-                    else sample(pool, shuffle_length - 1)
+                    else draw_sample(pool, shuffle_length - 1, rng)
                 )
                 payload = [(peer_id, view[peer_id][0]) for peer_id in shipped]
                 payload.append((node_id, 0))
@@ -422,7 +423,7 @@ def _gossip(flat: _Flat, rng, cycles: int) -> Tuple[int, int, int]:
                 answered = (
                     pool
                     if shuffle_length >= len(pool)
-                    else sample(pool, shuffle_length)
+                    else draw_sample(pool, shuffle_length, rng)
                 )
                 reply = [(peer_id, theirs[peer_id][0]) for peer_id in answered]
                 _shuffle_merge(theirs, partner, payload, answered, view_size)
