@@ -576,41 +576,9 @@ def _build_fault_profile(args):
 def _run_node(args) -> None:
     import asyncio
 
-    from repro.net.node import NodeConfig, run_node
-    from repro.net.wire import parse_endpoint
+    from repro.net.node import node_config, run_node
 
-    config = NodeConfig(
-        host=args.host,
-        port=args.port,
-        bootstrap=tuple(
-            parse_endpoint(entry) for entry in (args.bootstrap or ())
-        ),
-        protocol=args.protocol,
-        fanout=args.fanout,
-        view_size=args.view_size,
-        shuffle_length=args.shuffle_length,
-        vicinity_size=args.vicinity_size,
-        gossip_length=args.gossip_length,
-        gossip_period=args.gossip_period,
-        ping_period=args.ping_period,
-        ping_timeout=args.ping_timeout,
-        ping_retries=args.ping_retries,
-        ping_backoff=args.ping_backoff,
-        pull_period=args.pull_period,
-        join_retries=args.join_retries,
-        log_dir=args.log_dir,
-        log_append=args.log_append,
-        run_for=args.run_for,
-        seed=args.seed,
-        node_id=args.node_id,
-        ring_id=args.ring_id,
-        publish_after=args.publish_after,
-        publish_payload=args.publish_payload,
-        faults=_build_fault_profile(args),
-        fault_seed=args.fault_seed,
-        shuffle_timeout=args.shuffle_timeout,
-        addr_ttl=args.addr_ttl,
-    )
+    config = node_config(args, faults=_build_fault_profile(args))
     try:
         asyncio.run(run_node(config, install_signal_handlers=True))
     except KeyboardInterrupt:
@@ -756,6 +724,8 @@ def _run_demo(args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests)."""
+    from repro.net.node import add_node_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1014,153 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
             "docs/live_network.md."
         ),
     )
-    sub.add_argument(
-        "--host", default="127.0.0.1", help="bind host (default: 127.0.0.1)"
-    )
-    sub.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="bind UDP port; 0 picks a free one (default: 0)",
-    )
-    sub.add_argument(
-        "--bootstrap",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="existing node to join through (repeatable); omit for "
-        "the first node of a cluster",
-    )
-    sub.add_argument(
-        "--protocol",
-        choices=("ringcast", "randcast", "flooding"),
-        default="ringcast",
-        help="dissemination policy (default: ringcast)",
-    )
-    sub.add_argument(
-        "--fanout", type=int, default=3, help="gossip fanout (default: 3)"
-    )
-    sub.add_argument(
-        "--view-size",
-        type=int,
-        default=8,
-        help="CYCLON view capacity (default: 8)",
-    )
-    sub.add_argument(
-        "--shuffle-length",
-        type=int,
-        default=4,
-        help="descriptors shipped per CYCLON shuffle (default: 4)",
-    )
-    sub.add_argument(
-        "--vicinity-size",
-        type=int,
-        default=6,
-        help="VICINITY view capacity (default: 6)",
-    )
-    sub.add_argument(
-        "--gossip-length",
-        type=int,
-        default=4,
-        help="descriptors shipped per VICINITY exchange (default: 4)",
-    )
-    sub.add_argument(
-        "--gossip-period",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="seconds between gossip cycles (default: 0.5)",
-    )
-    sub.add_argument(
-        "--ping-period",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between liveness probes per peer (default: 2)",
-    )
-    sub.add_argument(
-        "--ping-timeout",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds to wait for a pong before retrying (default: 1)",
-    )
-    sub.add_argument(
-        "--ping-retries",
-        type=int,
-        default=3,
-        help="missed pongs before a peer is declared down (default: 3)",
-    )
-    sub.add_argument(
-        "--ping-backoff",
-        type=float,
-        default=2.0,
-        help="multiplier stretching the wait between ping retries "
-        "(default: 2)",
-    )
-    sub.add_argument(
-        "--pull-period",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="anti-entropy pull interval; 0 disables the pull loop "
-        "(default: 0)",
-    )
-    sub.add_argument(
-        "--join-retries",
-        type=int,
-        default=10,
-        help="bootstrap join attempts before giving up (default: 10)",
-    )
-    sub.add_argument(
-        "--log-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="directory for this node's JSONL event log (default: "
-        "events go to stdout)",
-    )
-    sub.add_argument(
-        "--run-for",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="stop after this many seconds (default: run until killed)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (default: OS entropy)"
-    )
-    sub.add_argument(
-        "--node-id",
-        type=int,
-        default=None,
-        help="fixed node ID (default: derived from the seed)",
-    )
-    sub.add_argument(
-        "--ring-id",
-        type=int,
-        default=None,
-        help="fixed ring sequence ID (default: derived from the seed)",
-    )
-    sub.add_argument(
-        "--publish-after",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="originate one message this many seconds after start "
-        "(smoke runs without a separate net-send)",
-    )
-    sub.add_argument(
-        "--publish-payload",
-        default="hello",
-        help="payload for --publish-after (default: hello)",
-    )
-    sub.add_argument(
-        "--log-append",
-        action="store_true",
-        help="append to an existing event log instead of truncating "
-        "(restarted fleet incarnations keep one log per identity)",
-    )
+    add_node_arguments(sub)
     sub.add_argument(
         "--loss",
         type=float,
@@ -1199,30 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON fault profile (default link + per-endpoint "
         "overrides); --loss/--latency-ms/--duplicate/--reorder "
         "override its default link",
-    )
-    sub.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="seed of the fault-decision streams; the same seed "
-        "reproduces every drop/delay/duplicate decision bit-for-bit "
-        "(default: derived from the node identity)",
-    )
-    sub.add_argument(
-        "--shuffle-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="abort a pending CYCLON shuffle after this long without "
-        "a response (default: max(5 * gossip period, 2))",
-    )
-    sub.add_argument(
-        "--addr-ttl",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="evict address-book entries not refreshed by gossip for "
-        "this long; 0 disables eviction (default: 60)",
     )
     sub.set_defaults(func=_run_node)
     sub = subparsers.add_parser(

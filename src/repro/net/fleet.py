@@ -66,7 +66,7 @@ from repro.common.rng import child_seed
 from repro.failures.lifetimes import lifetime_histogram
 from repro.net.analyzer import NetRunReport, analyze_run
 from repro.net.faults import FaultProfile
-from repro.net.node import GossipNode, NodeConfig
+from repro.net.node import NODE_TUNABLES, GossipNode, NodeConfig, node_argv
 from repro.net.wire import send_publish
 
 __all__ = [
@@ -77,28 +77,6 @@ __all__ = [
     "load_fleet_scenario",
     "run_fleet",
 ]
-
-# NodeConfig fields a scenario's "node" block may override. Identity,
-# addressing, logging and fault wiring stay with the supervisor.
-_NODE_OVERRIDES = frozenset(
-    {
-        "protocol",
-        "fanout",
-        "view_size",
-        "shuffle_length",
-        "vicinity_size",
-        "gossip_length",
-        "gossip_period",
-        "ping_period",
-        "ping_timeout",
-        "ping_retries",
-        "ping_backoff",
-        "pull_period",
-        "join_retries",
-        "shuffle_timeout",
-        "addr_ttl",
-    }
-)
 
 _ACTIONS = ("publish", "kill", "restart", "join")
 
@@ -239,12 +217,13 @@ class FleetScenario:
                 f"scenario 'node' must be an object of NodeConfig "
                 f"overrides, got {overrides!r}"
             )
-        bad = sorted(set(overrides) - _NODE_OVERRIDES)
+        bad = sorted(set(overrides) - NODE_TUNABLES)
         if bad:
             raise ConfigurationError(
                 f"scenario 'node' has unknown overrides {bad} "
-                f"(allowed: {sorted(_NODE_OVERRIDES)})"
+                f"(allowed: {sorted(NODE_TUNABLES)})"
             )
+        checked = NodeConfig(**overrides)
         faults = None
         if "faults" in obj and obj["faults"] is not None:
             faults = FaultProfile.from_dict(obj["faults"])
@@ -265,7 +244,7 @@ class FleetScenario:
             seed=int(obj.get("seed", 1)),
             host=str(obj.get("host", "127.0.0.1")),
             base_port=int(obj.get("base_port", 9700)),
-            node=dict(overrides),
+            node={name: getattr(checked, name) for name in overrides},
             faults=faults,
             fault_seed=(
                 int(obj["fault_seed"])
@@ -538,7 +517,7 @@ class _ProcessFleet:
         self.log_dir = log_dir
         self._procs: Dict[int, subprocess.Popen] = {}
         self._profile_path: Optional[Path] = None
-        if scenario.faults is not None and scenario.faults.active:
+        if scenario.faults is not None:
             self._profile_path = log_dir / "fault-profile.json"
             log_dir.mkdir(parents=True, exist_ok=True)
             self._profile_path.write_text(
@@ -555,69 +534,20 @@ class _ProcessFleet:
 
     def _command(self, index: int, append: bool) -> List[str]:
         config = _node_config(self.scenario, index, self.log_dir, append)
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro",
-            "node",
-            "--host",
-            config.host,
-            "--port",
-            str(config.port),
-            "--protocol",
-            config.protocol,
-            "--fanout",
-            str(config.fanout),
-            "--view-size",
-            str(config.view_size),
-            "--shuffle-length",
-            str(config.shuffle_length),
-            "--vicinity-size",
-            str(config.vicinity_size),
-            "--gossip-length",
-            str(config.gossip_length),
-            "--gossip-period",
-            str(config.gossip_period),
-            "--ping-period",
-            str(config.ping_period),
-            "--ping-timeout",
-            str(config.ping_timeout),
-            "--ping-retries",
-            str(config.ping_retries),
-            "--ping-backoff",
-            str(config.ping_backoff),
-            "--pull-period",
-            str(config.pull_period),
-            "--join-retries",
-            str(config.join_retries),
-            "--addr-ttl",
-            str(config.addr_ttl),
-            "--log-dir",
-            str(self.log_dir),
-            "--run-for",
-            str(config.run_for),
-            "--seed",
-            str(config.seed),
-        ]
-        for addr in config.bootstrap:
-            cmd += ["--bootstrap", f"{addr[0]}:{addr[1]}"]
-        if config.shuffle_timeout is not None:
-            cmd += ["--shuffle-timeout", str(config.shuffle_timeout)]
-        if append:
-            cmd += ["--log-append"]
-        if self._profile_path is not None:
-            cmd += ["--fault-profile", str(self._profile_path)]
-            if config.fault_seed is not None:
-                cmd += ["--fault-seed", str(config.fault_seed)]
-        return cmd
+        argv = node_argv(config, self._profile_path)
+        return [sys.executable, "-m", "repro", "node", *argv]
 
     async def start_node(self, index: int, append: bool) -> None:
-        self._procs[index] = subprocess.Popen(
-            self._command(index, append),
-            env=self._env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        # A node that dies (a rejected argv, a port in use) says why
+        # here; the analyzer reads only *.jsonl.
+        path = self.log_dir / f"node-{index}.stderr"
+        with open(path, "ab" if append else "wb") as stderr:
+            self._procs[index] = subprocess.Popen(
+                self._command(index, append),
+                env=self._env,
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
 
     async def kill_node(self, index: int) -> None:
         proc = self._procs.pop(index)

@@ -27,20 +27,24 @@ endpoints and are seeded from the ``welcome`` reply.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import json
+import math
 import random
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
+)
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.rng import child_seed
 from repro.core.cyclon import CyclonCore
-from repro.core.dissemination import DisseminationCore
+from repro.core.dissemination import PROTOCOLS, DisseminationCore
 from repro.core.messages import (
     GossipMessage,
     PullRequest,
@@ -57,55 +61,232 @@ from repro.core.vicinity import VicinityCore
 from repro.core.views import NodeDescriptor
 from repro.membership.ring_ids import RingProximity
 from repro.net.faults import FaultInjector, FaultProfile
-from repro.net.wire import AddressBook, decode_datagram, encode_datagram
+from repro.net.wire import (
+    AddressBook, decode_datagram, encode_datagram, parse_endpoint
+)
 from repro.sim.node import RING_ID_SPACE, NodeProfile
 
-__all__ = ["GossipNode", "NodeConfig", "run_node"]
+__all__ = [
+    "NODE_TUNABLES", "GossipNode", "NodeConfig", "add_node_arguments",
+    "node_argv", "node_config", "run_node",
+]
 
 Address = Tuple[str, int]
 
 
+def _reject(name: str, wanted: str, value: Any) -> NoReturn:
+    raise ConfigurationError(f"node option {name!r} must be {wanted}, "
+                             f"got {value!r}")
+
+
+@dataclass(frozen=True)
+class _Option:
+    """How one :class:`NodeConfig` field reads as a ``repro node`` flag,
+    and the values it takes.
+
+    ``type`` converts the flag's text (``None``: keep the string); a
+    bool field is a switch and a tuple field a repeatable flag. ``int``
+    and ``float`` values must be finite numbers, not bools, ``>=
+    minimum``, ``> above`` and ``<= maximum``; a field defaulting to
+    ``None`` also takes ``None``. ``tunable`` fields are the ones a
+    fleet scenario's ``"node"`` block may set.
+    """
+
+    type: Optional[Callable[[str], Any]]
+    help: str
+    metavar: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    minimum: Optional[float] = None
+    above: Optional[float] = None
+    maximum: Optional[float] = None
+    tunable: bool = False
+
+    def check(self, name: str, value: Any) -> Any:
+        """``value`` checked and converted to ``type``."""
+        if self.choices is not None and value not in self.choices:
+            _reject(name, f"one of {self.choices}", value)
+        if self.type not in (int, float):
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            _reject(name, "a finite number", value)
+        if self.type is int and value != int(value):
+            _reject(name, "an integer", value)
+        value = self.type(value)
+        if self.minimum is not None and value < self.minimum:
+            _reject(name, f">= {self.minimum}", value)
+        if self.above is not None and value <= self.above:
+            _reject(name, f"> {self.above}", value)
+        if self.maximum is not None and value > self.maximum:
+            _reject(name, f"<= {self.maximum}", value)
+        return value
+
+
+def _option(default: Any, type: Any, help: str, **kwargs: Any) -> Any:
+    return field(default=default,
+                 metadata={"option": _Option(type, help, **kwargs)})
+
+
 @dataclass
 class NodeConfig:
-    """Tunables of one live node (see ``docs/live_network.md``)."""
+    """Tunables of one live node (see ``docs/live_network.md``).
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    bootstrap: Tuple[Address, ...] = ()
-    protocol: str = "ringcast"
-    fanout: int = 3
-    view_size: int = 8
-    shuffle_length: int = 4
-    vicinity_size: int = 6
-    gossip_length: int = 4
-    gossip_period: float = 0.5
-    ping_period: float = 2.0
-    ping_timeout: float = 1.0
-    ping_retries: int = 3
-    ping_backoff: float = 2.0
-    pull_period: float = 0.0
-    join_retries: int = 10
-    log_dir: Optional[Path] = None
+    Each field but ``faults`` declares its ``repro node`` flag; the
+    flag parser, :func:`node_argv` and the fleet's ``"node"`` overrides
+    all derive from these declarations.
+    """
+
+    host: str = _option("127.0.0.1", None, "bind host")
+    port: int = _option(0, int, "bind UDP port; 0 picks a free one",
+                        minimum=0, maximum=65535)
+    bootstrap: Tuple[Address, ...] = _option(
+        (), None, "existing node to join through (repeatable); omit for "
+        "the first node of a cluster", metavar="HOST:PORT")
+    protocol: str = _option("ringcast", None, "dissemination policy",
+                            choices=PROTOCOLS, tunable=True)
+    fanout: int = _option(3, int, "gossip fanout", tunable=True)
+    view_size: int = _option(8, int, "CYCLON view capacity", tunable=True)
+    shuffle_length: int = _option(
+        4, int, "descriptors shipped per CYCLON shuffle", tunable=True)
+    vicinity_size: int = _option(6, int, "VICINITY view capacity",
+                                 tunable=True)
+    gossip_length: int = _option(
+        4, int, "descriptors shipped per VICINITY exchange", tunable=True)
+    gossip_period: float = _option(
+        0.5, float, "seconds between gossip cycles", metavar="SECONDS",
+        above=0, tunable=True)
+    ping_period: float = _option(
+        2.0, float, "seconds between liveness probes per peer",
+        metavar="SECONDS", above=0, tunable=True)
+    ping_timeout: float = _option(
+        1.0, float, "seconds to wait for a pong before retrying",
+        metavar="SECONDS", above=0, tunable=True)
+    ping_retries: int = _option(
+        3, int, "missed pongs before a peer is declared down", minimum=0,
+        tunable=True)
+    ping_backoff: float = _option(
+        2.0, float, "multiplier stretching the wait between ping retries",
+        minimum=1, tunable=True)
+    pull_period: float = _option(
+        0.0, float, "anti-entropy pull interval; 0 disables the pull loop",
+        metavar="SECONDS", minimum=0, tunable=True)
+    join_retries: int = _option(
+        10, int, "bootstrap join attempts before giving up", minimum=0,
+        tunable=True)
+    log_dir: Optional[Path] = _option(
+        None, Path, "directory for this node's JSONL event log (default: "
+        "events go to stdout)", metavar="DIR")
     # Append to the node's existing log and continue its message IDs
     # after the last one logged there (a restarted incarnation). Needs
     # ``log_dir``: a node logging to stdout has nothing to resume from
     # and numbers its publishes from 1 again.
-    log_append: bool = False
-    run_for: Optional[float] = None
-    seed: Optional[int] = None
-    node_id: Optional[int] = None
-    ring_id: Optional[int] = None
-    publish_after: Optional[float] = None
-    publish_payload: Any = "hello"
+    log_append: bool = _option(
+        False, None, "append to an existing event log instead of "
+        "truncating (restarted fleet incarnations keep one log per "
+        "identity)")
+    run_for: Optional[float] = _option(
+        None, float, "stop after this many seconds (default: run until "
+        "killed)", metavar="SECONDS", minimum=0)
+    seed: Optional[int] = _option(None, int, "RNG seed (default: OS entropy)")
+    node_id: Optional[int] = _option(
+        None, int, "fixed node ID (default: derived from the seed)")
+    ring_id: Optional[int] = _option(
+        None, int, "fixed ring sequence ID (default: derived from the seed)")
+    publish_after: Optional[float] = _option(
+        None, float, "originate one message this many seconds after start "
+        "(smoke runs without a separate net-send)", metavar="SECONDS",
+        minimum=0)
+    publish_payload: Any = _option("hello", None,
+                                   "payload for --publish-after")
+    # Built from --fault-profile and the fault flags, not a flag itself.
     faults: Optional[FaultProfile] = None
-    fault_seed: Optional[int] = None
-    # A pending shuffle whose response never arrives is aborted after
-    # this many seconds (None: max(5 * gossip_period, 2.0)).
-    shuffle_timeout: Optional[float] = None
-    # Address-book entries not refreshed by gossip for this long (and
-    # not protecting a view member or in-flight partner) are evicted;
-    # 0 disables eviction.
-    addr_ttl: float = 60.0
+    fault_seed: Optional[int] = _option(
+        None, int, "seed of the fault-decision streams; the same seed "
+        "reproduces every drop/delay/duplicate decision bit-for-bit "
+        "(default: derived from the node identity)")
+    shuffle_timeout: Optional[float] = _option(
+        None, float, "abort a pending CYCLON shuffle after this long "
+        "without a response (default: max(5 * gossip period, 2))",
+        metavar="SECONDS", above=0, tunable=True)
+    addr_ttl: float = _option(
+        60.0, float, "evict address-book entries not refreshed by gossip "
+        "for this long; 0 disables eviction", metavar="SECONDS",
+        minimum=0, tunable=True)
+
+    def __post_init__(self) -> None:
+        for spec, option in _OPTIONS:
+            value = getattr(self, spec.name)
+            if value is not None or spec.default is not None:
+                setattr(self, spec.name, option.check(spec.name, value))
+
+
+_OPTIONS: List[Tuple[Field, _Option]] = [
+    (spec, spec.metadata["option"])
+    for spec in fields(NodeConfig)
+    if "option" in spec.metadata
+]
+
+# The NodeConfig fields a fleet scenario's "node" block may override.
+NODE_TUNABLES = frozenset(spec.name for spec, opt in _OPTIONS if opt.tunable)
+
+
+def _flag(spec: Field) -> str:
+    return "--" + spec.name.replace("_", "-")
+
+
+def add_node_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add one ``repro node`` flag per :class:`NodeConfig` option."""
+    for spec, option in _OPTIONS:
+        kwargs: Dict[str, Any] = {"help": option.help}
+        if isinstance(spec.default, bool):
+            kwargs["action"] = "store_true"
+        elif isinstance(spec.default, tuple):
+            kwargs.update(action="append", metavar=option.metavar)
+        else:
+            kwargs.update(type=option.type, default=spec.default,
+                          choices=option.choices, metavar=option.metavar)
+            if spec.default is not None:
+                kwargs["help"] += " (default: %(default)s)"
+        parser.add_argument(_flag(spec), **kwargs)
+
+
+def node_config(args: argparse.Namespace,
+                faults: Optional[FaultProfile] = None) -> NodeConfig:
+    """The :class:`NodeConfig` a parsed ``repro node`` command asks for.
+
+    ``--bootstrap`` endpoints are parsed here, so a bad one raises
+    :class:`ConfigurationError` instead of exiting through argparse.
+    """
+    values = {spec.name: getattr(args, spec.name) for spec, _ in _OPTIONS}
+    values["bootstrap"] = tuple(
+        parse_endpoint(entry) for entry in values["bootstrap"] or ())
+    return NodeConfig(faults=faults, **values)
+
+
+def node_argv(config: NodeConfig,
+              fault_profile: Optional[Path] = None) -> List[str]:
+    """The ``repro node`` arguments that parse back to ``config``,
+    leaving out options at their default. ``fault_profile`` is the file
+    ``config.faults`` was written to, required when that is set.
+    """
+    argv: List[str] = []
+    for spec, _ in _OPTIONS:
+        value = getattr(config, spec.name)
+        if value == spec.default:
+            continue
+        if isinstance(spec.default, bool):
+            argv.append(_flag(spec))
+        elif isinstance(spec.default, tuple):
+            for host, port in value:
+                argv += [_flag(spec), f"{host}:{port}"]
+        else:
+            argv += [_flag(spec), str(value)]
+    if config.faults is not None:
+        if fault_profile is None:
+            raise ValueError("config.faults needs its fault_profile file")
+        argv += ["--fault-profile", str(fault_profile)]
+    return argv
 
 
 @dataclass

@@ -6,6 +6,7 @@ from repro.api import build_overlay, disseminate, run_experiment
 from repro.cli import build_parser, main
 from repro.common.errors import ConfigurationError
 from repro.experiments.scenarios import ChurnOutcome, FanoutSweep
+from repro.net.node import NodeConfig
 
 
 class TestBuildOverlay:
@@ -388,3 +389,167 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# The ``repro node`` option table as it stood when each option was a
+# hand-written add_argument: dest -> (option strings, type, default,
+# choices, action, metavar). Deriving the parser from NodeConfig must
+# not add, drop or retype any of them.
+NODE_OPTIONS = {
+    "help": (("-h", "--help"), None, "==SUPPRESS==", None, "_HelpAction", None),
+    "host": (("--host",), None, "127.0.0.1", None, "_StoreAction", None),
+    "port": (("--port",), "int", 0, None, "_StoreAction", None),
+    "bootstrap": (
+        ("--bootstrap",), None, None, None, "_AppendAction", "HOST:PORT"
+    ),
+    "protocol": (
+        ("--protocol",),
+        None,
+        "ringcast",
+        ("ringcast", "randcast", "flooding"),
+        "_StoreAction",
+        None,
+    ),
+    "fanout": (("--fanout",), "int", 3, None, "_StoreAction", None),
+    "view_size": (("--view-size",), "int", 8, None, "_StoreAction", None),
+    "shuffle_length": (
+        ("--shuffle-length",), "int", 4, None, "_StoreAction", None
+    ),
+    "vicinity_size": (
+        ("--vicinity-size",), "int", 6, None, "_StoreAction", None
+    ),
+    "gossip_length": (
+        ("--gossip-length",), "int", 4, None, "_StoreAction", None
+    ),
+    "gossip_period": (
+        ("--gossip-period",), "float", 0.5, None, "_StoreAction", "SECONDS"
+    ),
+    "ping_period": (
+        ("--ping-period",), "float", 2.0, None, "_StoreAction", "SECONDS"
+    ),
+    "ping_timeout": (
+        ("--ping-timeout",), "float", 1.0, None, "_StoreAction", "SECONDS"
+    ),
+    "ping_retries": (("--ping-retries",), "int", 3, None, "_StoreAction", None),
+    "ping_backoff": (
+        ("--ping-backoff",), "float", 2.0, None, "_StoreAction", None
+    ),
+    "pull_period": (
+        ("--pull-period",), "float", 0.0, None, "_StoreAction", "SECONDS"
+    ),
+    "join_retries": (
+        ("--join-retries",), "int", 10, None, "_StoreAction", None
+    ),
+    "log_dir": (("--log-dir",), "Path", None, None, "_StoreAction", "DIR"),
+    "run_for": (
+        ("--run-for",), "float", None, None, "_StoreAction", "SECONDS"
+    ),
+    "seed": (("--seed",), "int", None, None, "_StoreAction", None),
+    "node_id": (("--node-id",), "int", None, None, "_StoreAction", None),
+    "ring_id": (("--ring-id",), "int", None, None, "_StoreAction", None),
+    "publish_after": (
+        ("--publish-after",), "float", None, None, "_StoreAction", "SECONDS"
+    ),
+    "publish_payload": (
+        ("--publish-payload",), None, "hello", None, "_StoreAction", None
+    ),
+    "log_append": (
+        ("--log-append",), None, False, None, "_StoreTrueAction", None
+    ),
+    "loss": (("--loss",), "float", None, None, "_StoreAction", "P"),
+    "latency_ms": (("--latency-ms",), None, None, None, "_StoreAction", "LO:HI"),
+    "duplicate": (("--duplicate",), "float", None, None, "_StoreAction", "P"),
+    "reorder": (("--reorder",), "float", None, None, "_StoreAction", "P"),
+    "fault_profile": (
+        ("--fault-profile",), "Path", None, None, "_StoreAction", "FILE"
+    ),
+    "fault_seed": (("--fault-seed",), "int", None, None, "_StoreAction", None),
+    "shuffle_timeout": (
+        ("--shuffle-timeout",), "float", None, None, "_StoreAction", "SECONDS"
+    ),
+    "addr_ttl": (
+        ("--addr-ttl",), "float", 60.0, None, "_StoreAction", "SECONDS"
+    ),
+}
+
+
+def _node_parser():
+    import argparse
+
+    parser = build_parser()
+    (subparsers,) = (
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return parser, subparsers.choices["node"]
+
+
+class TestNodeOptions:
+    def test_option_table_is_pinned(self):
+        _, node = _node_parser()
+        table = {
+            action.dest: (
+                tuple(action.option_strings),
+                getattr(action.type, "__name__", action.type),
+                action.default,
+                action.choices,
+                type(action).__name__,
+                action.metavar,
+            )
+            for action in node._actions
+        }
+        assert table == NODE_OPTIONS
+        for dest, row in table.items():
+            # 2 == 2.0 would hide an int default turned float.
+            assert type(row[2]) is type(NODE_OPTIONS[dest][2]), dest
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gossip_period", 0.0),
+            ("gossip_period", -0.5),
+            ("gossip_period", float("nan")),
+            ("gossip_period", float("inf")),
+            ("ping_period", 0.0),
+            ("ping_timeout", 0.0),
+            ("pull_period", -1.0),
+            ("addr_ttl", -1.0),
+            ("ping_backoff", 0.5),
+            ("run_for", -1.0),
+            ("publish_after", -1.0),
+            ("shuffle_timeout", 0.0),
+            ("ping_retries", -1),
+            ("join_retries", -1),
+            ("port", -1),
+            ("port", 65536),
+        ],
+    )
+    def test_values_that_break_a_node_are_rejected(
+        self, monkeypatch, name, value
+    ):
+        import socket
+
+        with pytest.raises(ConfigurationError, match=name):
+            NodeConfig(**{name: value})
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(ConfigurationError, match=name):
+            main(["node", flag, str(value)])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fanout", True), ("gossip_period", "0.5"), ("port", None)],
+    )
+    def test_values_of_the_wrong_type_are_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            NodeConfig(**{name: value})
+
+    def test_numbers_are_normalised_to_the_field_type(self):
+        config = NodeConfig(gossip_period=1, fanout=4.0)
+        assert type(config.gossip_period) is float
+        assert type(config.fanout) is int

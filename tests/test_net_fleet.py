@@ -10,12 +10,20 @@ loop enabled recovers to a perfect delivery ratio.
 """
 
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.net.fleet import (
     FleetScenario,
+    _node_config,
+    _ProcessFleet,
     fleet_timeline,
     load_fleet_scenario,
     realized_lifetimes,
@@ -91,6 +99,26 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match=match):
             FleetScenario.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"protocol": "bogus"},
+            {"fanout": "3"},
+            {"fanout": 2.5},
+            {"gossip_period": float("nan")},
+            {"gossip_period": 0},
+            {"ping_retries": -1},
+        ],
+    )
+    def test_bad_node_overrides_fail_at_load(self, tmp_path, override):
+        # Checked like `repro node` flags, before either fleet mode
+        # launches a node.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(CHURN_SCENARIO, node=override)))
+        (name,) = override
+        with pytest.raises(ConfigurationError, match=name):
+            load_fleet_scenario(path)
+
     def test_timeline_state_machine_catches_schedule_bugs(self):
         with pytest.raises(ConfigurationError, match="already down"):
             _scenario(
@@ -115,6 +143,73 @@ class TestScenarioValidation:
                 churn=[{"at": 1.0, "action": "join", "node": 2}],
                 publishes=[],
             )
+
+
+_SECONDS = st.sampled_from([0.1, 1e-3]) | st.floats(1e-6, 1e4)
+
+
+@st.composite
+def _fleet_member(draw):
+    """A scenario, one member index and whether it is a restart."""
+    nodes = draw(st.integers(2, 6))
+    obj = {
+        "nodes": nodes,
+        "duration": draw(_SECONDS),
+        "seed": draw(st.integers(0, 2**64)),
+        "base_port": draw(st.integers(1, 65535 - nodes)),
+        "node": draw(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "protocol": st.sampled_from(["randcast", "flooding"]),
+                    "fanout": st.integers(0, 10),
+                    "view_size": st.integers(1, 30),
+                    "gossip_period": _SECONDS,
+                    "ping_timeout": _SECONDS,
+                    "ping_retries": st.integers(0, 5),
+                    "ping_backoff": st.floats(1.0, 10.0),
+                    "pull_period": st.just(0.0) | _SECONDS,
+                    "shuffle_timeout": st.none() | _SECONDS,
+                    "addr_ttl": st.just(0.0) | _SECONDS,
+                },
+            )
+        ),
+        "fault_seed": draw(st.none() | st.integers(0, 2**32)),
+    }
+    if draw(st.booleans()):
+        latency = sorted(
+            draw(st.lists(st.floats(0, 500), min_size=2, max_size=2))
+        )
+        obj["faults"] = {
+            "loss": draw(st.floats(0, 1)),
+            "latency_ms": latency,
+            "links": {"127.0.0.1:9701": {"reorder": draw(st.floats(0, 1))}},
+        }
+    scenario = FleetScenario.from_dict(obj)
+    return scenario, draw(st.integers(0, nodes - 1)), draw(st.booleans())
+
+
+class TestProcessArgv:
+    @settings(max_examples=60, deadline=None)
+    @given(_fleet_member())
+    def test_process_nodes_run_the_inline_config(self, member):
+        """`repro node` parses a process member's argv back to the
+        NodeConfig the inline fleet runs for it."""
+        scenario, index, append = member
+        seen = []
+
+        async def fake_run_node(config, install_signal_handlers):
+            seen.append(config)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            log_dir = Path(tmp)
+            inline = _node_config(scenario, index, log_dir, append)
+            argv = _ProcessFleet(scenario, log_dir)._command(index, append)
+            assert argv[:4] == [sys.executable, "-m", "repro", "node"]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("repro.net.node.run_node", fake_run_node)
+                main(argv[3:])
+        assert seen == [inline]
 
 
 class TestTimeline:
