@@ -31,6 +31,7 @@ Quickstart
 from repro.api import (
     build_overlay,
     disseminate,
+    flat_spec,
     run_adaptive_sweep,
     run_experiment,
     run_sweep,
@@ -42,7 +43,7 @@ from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.sweep_results import SweepResult
 from repro.experiments.sweep_spec import SweepSpec
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "DisseminationResult",
@@ -52,6 +53,7 @@ __all__ = [
     "__version__",
     "build_overlay",
     "disseminate",
+    "flat_spec",
     "run_adaptive_sweep",
     "run_experiment",
     "run_sweep",

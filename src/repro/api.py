@@ -10,6 +10,11 @@ them).
 ...                          warmup_cycles=60)
 >>> disseminate(snapshot, fanout=3, seed=1).complete
 True
+
+A sweep grid is always a :class:`~repro.experiments.sweep_spec.SweepSpec`
+(or a spec file): ``run_sweep(flat_spec(scenarios=("static",),
+fanouts=(2, 3)), scale="tiny")``, or ``SweepSpec(...)`` built from
+:func:`scenario` selections. ``docs/sweep_specs.md`` has both forms.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.experiments.scenario_matrix import (
     registered_params,
     scenario_names,
     scenario_schema,
+    scenarios_consuming,
 )
 from repro.experiments.scenarios import (
     ChurnOutcome,
@@ -54,16 +60,12 @@ from repro.experiments.history import (
 )
 from repro.experiments.sweep import run_sweep as _run_sweep
 from repro.experiments.sweep_results import SweepResult, config_fingerprint
-from repro.experiments.sweep_spec import (
-    ScenarioSelection,
-    SweepSpec,
-    flat_spec,
-    scenario,
-)
+from repro.experiments.sweep_spec import SweepSpec, flat_spec, scenario
 
 __all__ = [
     "build_overlay",
     "disseminate",
+    "flat_spec",
     "run_adaptive_sweep",
     "run_experiment",
     "run_sweep",
@@ -145,11 +147,7 @@ def _reject_unconsumed_params(scenario: str, names: Sequence[str]) -> None:
     known = registered_params()
     for name in names:
         if name in known and name not in consumed:
-            consumers = sorted(
-                other
-                for other in scenario_names()
-                if scenario_schema(other).param(name) is not None
-            )
+            consumers = sorted(scenarios_consuming(name))
             raise ConfigurationError(
                 f"scenario {scenario!r} does not consume parameter "
                 f"{name!r} (consumed by: {consumers}); drop it instead "
@@ -199,87 +197,81 @@ def run_experiment(
     )
 
 
-def _resolve_sweep_grid(
-    scenarios,
-    protocols,
-    num_nodes,
-    fanouts,
-    replicates,
-    num_messages,
-    scale,
-    seed,
-    spec,
-    config_overrides,
+# The grid keywords removed in 9.0.0. Three of them are also
+# ExperimentConfig fields, which every trial overrides from its spec:
+# taken as config overrides they would run the spec's grid unchanged.
+_GRID_KEYWORDS = (
+    "scenarios",
+    "protocols",
+    "num_nodes",
+    "fanouts",
+    "replicates",
+    "num_messages",
+)
+
+
+def _resolve_sweep(
+    spec: Union[SweepSpec, str, Path],
+    scale: Optional[str],
+    seed: Optional[int],
+    config_overrides: dict,
 ) -> Tuple[SweepSpec, ExperimentConfig]:
-    """Shared grid + base-config resolution for the sweep facades.
+    """The sweep facades' ``(spec, base_config)``: ``spec`` loaded if
+    it is a path, and the base config at the effective scale and seed
+    with the spec's overrides and then the caller's applied."""
+    misplaced = sorted(set(config_overrides) & set(_GRID_KEYWORDS))
+    if misplaced:
+        raise ConfigurationError(
+            f"the spec defines the grid; drop {misplaced} and describe "
+            "it in the spec instead (flat_spec(...) or SweepSpec(...))"
+        )
+    if not isinstance(spec, SweepSpec):
+        spec = SweepSpec.load(spec)
+    base = scale_config(
+        scale if scale is not None else spec.scale,
+        seed=seed if seed is not None else spec.seed,
+    )
+    merged = dict(spec.config_overrides)
+    merged.update(config_overrides)
+    if merged:
+        base = base.with_overrides(**merged)
+    return spec, base
 
-    Implements the grid-description forms documented on
-    :func:`run_sweep` (spec, scenario selections, plain names) and
-    returns ``(spec, base_config)`` — the base config already carries
-    the effective seed and every override applied.
+
+def _recorded(history, spec, base, mode, execute, from_entry):
+    """``execute()``, answered from the ``history`` store when it holds
+    this (spec, seed, config, mode) and recorded there otherwise.
+
+    ``from_entry`` turns a stored entry back into the facade's return
+    value; ``None`` from it is a miss.
     """
-    grid = {
-        name: value
-        for name, value in (
-            ("scenarios", scenarios),
-            ("protocols", protocols),
-            ("num_nodes", num_nodes),
-            ("fanouts", fanouts),
-            ("replicates", replicates),
-            ("num_messages", num_messages),
+    if history is None:
+        return execute()
+    digest = config_fingerprint(base)
+    hit = load_history_entry(history, spec, base.seed, digest, mode)
+    outcome = None if hit is None else from_entry(hit)
+    if outcome is not None:
+        return outcome
+    outcome = execute()
+    if isinstance(outcome, AdaptiveOutcome):
+        store_history_entry(
+            history, spec, outcome.result, base.seed, digest, mode,
+            adaptive=outcome.to_history_dict(),
         )
-        if value is not None
-    }
-    if spec is not None:
-        if grid:
-            # Silently running the spec's grid while the caller
-            # believes e.g. replicates=5 applied would misdescribe
-            # their statistics; the CLI rejects the same combination.
-            raise ConfigurationError(
-                f"spec= already defines the grid; drop {sorted(grid)} "
-                "(edit the spec instead)"
-            )
-        if not isinstance(spec, SweepSpec):
-            spec = SweepSpec.load(spec)
-        base = scale_config(
-            scale if scale is not None else spec.scale,
-            seed=seed if seed is not None else spec.seed,
-        )
-        merged = dict(spec.config_overrides)
-        merged.update(config_overrides)
-        if merged:
-            base = base.with_overrides(**merged)
-        return spec, base
-
-    base = scale_config(scale, seed=seed)
-    if config_overrides:
-        base = base.with_overrides(**config_overrides)
-    if any(
-        isinstance(entry, ScenarioSelection)
-        for entry in grid.get("scenarios", ())
-    ):
-        return SweepSpec(**grid), base
-    # All-name scenarios: the historical flat-grid semantics, bit for
-    # bit (same trial keys, same RNG universes, same JSON). Nothing of
-    # seed/scale/overrides is baked into the spec — the history
-    # address hashes its fingerprint.
-    return flat_spec(**grid), base
+    else:
+        store_history_entry(history, spec, outcome, base.seed, digest, mode)
+    return outcome
 
 
 def run_sweep(
-    scenarios: Optional[Sequence[Union[str, ScenarioSelection]]] = None,
-    protocols: Optional[Tuple[str, ...]] = None,
-    num_nodes: Optional[Tuple[int, ...]] = None,
-    fanouts: Optional[Tuple[int, ...]] = None,
-    replicates: Optional[int] = None,
-    num_messages: Optional[int] = None,
+    spec: Union[SweepSpec, str, Path],
+    *,
     scale: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     progress=None,
     backend: Optional[str] = None,
-    spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
     snapshot_cache_max_bytes: Optional[int] = None,
@@ -294,27 +286,21 @@ def run_sweep(
     count. ``cache_dir`` enables resume: completed trials are persisted
     and skipped on re-runs.
 
-    **Three ways to describe the grid**:
+    ``spec`` describes the grid: a
+    :class:`~repro.experiments.sweep_spec.SweepSpec` or the path of a
+    spec JSON file. Build one with
+    :func:`~repro.experiments.sweep_spec.scenario` selections, each
+    carrying exactly its own (schema-validated) parameters::
 
-    1. ``spec=`` — a :class:`~repro.experiments.sweep_spec.SweepSpec`
-       (or a path to a spec JSON file). The spec may embed ``scale``,
-       ``seed`` and config overrides; explicit arguments here override
-       it.
-    2. Scenario *selections* — pass
-       :func:`~repro.experiments.sweep_spec.scenario` objects in
-       ``scenarios``::
+        run_sweep(SweepSpec(scenarios=(scenario("churn",
+                                                churn_rate=[0.01, 0.05]),
+                                       "static")))
 
-           run_sweep(scenarios=(scenario("churn",
-                                          churn_rate=[0.01, 0.05]),
-                                 "static"))
-
-       Each scenario carries exactly its own (schema-validated)
-       parameters; any sweepable parameter may be an axis.
-    3. Plain scenario names — ``scenarios=("static", "catastrophic")``
-       keeps the historical flat-grid semantics of
-       :func:`~repro.experiments.sweep_spec.flat_spec` at its defaults
-       (byte-identical to every earlier release). To set a scenario
-       parameter, use form 1 or 2.
+    or with :func:`~repro.experiments.sweep_spec.flat_spec`, the
+    historical flat grid (``run_sweep(flat_spec(scenarios=("static",
+    "catastrophic")))`` is byte-identical to every earlier release).
+    The spec may embed ``scale``, ``seed`` and config overrides;
+    explicit arguments here override it.
 
     ``backend`` picks the execution backend (``"inline"`` or
     ``"process"``); the default is inline at ``workers=1`` and a local
@@ -360,53 +346,37 @@ def run_sweep(
     mode, and re-running an identical sweep is a pure lookup — zero
     trial executions, byte-identical :class:`SweepResult`.
     """
-    grid, base = _resolve_sweep_grid(
-        scenarios,
-        protocols,
-        num_nodes,
-        fanouts,
-        replicates,
-        num_messages,
-        scale,
-        seed,
+    spec, base = _resolve_sweep(spec, scale, seed, config_overrides)
+    return _recorded(
+        history,
         spec,
-        config_overrides,
+        base,
+        history_mode(overlay_reuse=overlay_reuse),
+        lambda: _run_sweep(
+            spec,
+            base_config=base,
+            root_seed=base.seed,
+            workers=workers,
+            cache_dir=cache_dir,
+            progress=progress,
+            backend=backend,
+            snapshot_cache=snapshot_cache,
+            overlay_reuse=overlay_reuse,
+            snapshot_cache_max_bytes=snapshot_cache_max_bytes,
+        ),
+        lambda hit: hit.result,
     )
-    run_kwargs = dict(
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        snapshot_cache=snapshot_cache,
-        overlay_reuse=overlay_reuse,
-        snapshot_cache_max_bytes=snapshot_cache_max_bytes,
-    )
-    if history is None:
-        return _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
-    digest = config_fingerprint(base)
-    mode = history_mode(overlay_reuse=overlay_reuse)
-    hit = load_history_entry(history, grid, base.seed, digest, mode)
-    if hit is not None:
-        return hit.result
-    result = _run_sweep(grid, base_config=base, root_seed=base.seed, **run_kwargs)
-    store_history_entry(history, grid, result, base.seed, digest, mode)
-    return result
 
 
 def run_adaptive_sweep(
-    scenarios: Optional[Sequence[Union[str, ScenarioSelection]]] = None,
-    protocols: Optional[Tuple[str, ...]] = None,
-    num_nodes: Optional[Tuple[int, ...]] = None,
-    fanouts: Optional[Tuple[int, ...]] = None,
-    replicates: Optional[int] = None,
-    num_messages: Optional[int] = None,
+    spec: Union[SweepSpec, str, Path],
+    *,
     scale: Optional[str] = None,
     seed: Optional[int] = None,
     workers: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
     progress=None,
     backend: Optional[str] = None,
-    spec: Union[SweepSpec, str, Path, None] = None,
     snapshot_cache: Optional[Union[str, Path]] = None,
     overlay_reuse: str = "trial",
     snapshot_cache_max_bytes: Optional[int] = None,
@@ -418,12 +388,12 @@ def run_adaptive_sweep(
 ) -> AdaptiveOutcome:
     """Run a sweep with adaptive per-cell replicate allocation.
 
-    Accepts the same grid descriptions, backends and caches as
-    :func:`run_sweep`; the grid's ``replicates`` count is the *initial*
-    batch per cell. After each round the 95% confidence interval of
-    ``ci_metric`` (``"miss_ratio"`` — percentage points of missed
-    delivery — or ``"hops"``) is computed per cell, and one further
-    replicate is scheduled for every cell whose CI is still wider than
+    Takes the same spec, backends and caches as :func:`run_sweep`; the
+    spec's ``replicates`` count is the *initial* batch per cell. After
+    each round the 95% confidence interval of ``ci_metric``
+    (``"miss_ratio"`` — percentage points of missed delivery — or
+    ``"hops"``) is computed per cell, and one further replicate is
+    scheduled for every cell whose CI is still wider than
     ``ci_width``, up to ``max_replicates`` replicates per cell.
 
     Replicate seeds come from the same per-trial RNG-universe scheme
@@ -435,62 +405,32 @@ def run_adaptive_sweep(
     under a mode key that includes the adaptive settings (an adaptive
     run never answers a fixed-grid lookup or vice versa).
     """
-    grid, base = _resolve_sweep_grid(
-        scenarios,
-        protocols,
-        num_nodes,
-        fanouts,
-        replicates,
-        num_messages,
-        scale,
-        seed,
-        spec,
-        config_overrides,
-    )
+    spec, base = _resolve_sweep(spec, scale, seed, config_overrides)
     settings = AdaptiveSettings(
         ci_width=ci_width,
         max_replicates=max_replicates,
         metric=ci_metric,
     )
-    run_kwargs = dict(
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        backend=backend,
-        snapshot_cache=snapshot_cache,
-        overlay_reuse=overlay_reuse,
-        snapshot_cache_max_bytes=snapshot_cache_max_bytes,
+    return _recorded(
+        history,
+        spec,
+        base,
+        history_mode(overlay_reuse=overlay_reuse, adaptive=settings.to_dict()),
+        lambda: _run_adaptive(
+            spec,
+            settings,
+            base_config=base,
+            root_seed=base.seed,
+            workers=workers,
+            cache_dir=cache_dir,
+            progress=progress,
+            backend=backend,
+            snapshot_cache=snapshot_cache,
+            overlay_reuse=overlay_reuse,
+            snapshot_cache_max_bytes=snapshot_cache_max_bytes,
+        ),
+        lambda hit: _outcome_from_history(hit, settings),
     )
-    digest = ""
-    mode: dict = {}
-    if history is not None:
-        digest = config_fingerprint(base)
-        mode = history_mode(
-            overlay_reuse=overlay_reuse, adaptive=settings.to_dict()
-        )
-        hit = load_history_entry(history, grid, base.seed, digest, mode)
-        if hit is not None:
-            rebuilt = _outcome_from_history(hit, settings)
-            if rebuilt is not None:
-                return rebuilt
-    outcome = _run_adaptive(
-        grid,
-        settings,
-        base_config=base,
-        root_seed=base.seed,
-        **run_kwargs,
-    )
-    if history is not None:
-        store_history_entry(
-            history,
-            grid,
-            outcome.result,
-            base.seed,
-            digest,
-            mode,
-            adaptive=outcome.to_history_dict(),
-        )
-    return outcome
 
 
 def _outcome_from_history(hit, settings: AdaptiveSettings) -> Optional[AdaptiveOutcome]:
@@ -535,8 +475,8 @@ def run_sweep_diff(
     """
     spec_a = spec_a if isinstance(spec_a, SweepSpec) else SweepSpec.load(spec_a)
     spec_b = spec_b if isinstance(spec_b, SweepSpec) else SweepSpec.load(spec_b)
-    result_a = run_sweep(spec=spec_a, history=history, **run_kwargs)
-    result_b = run_sweep(spec=spec_b, history=history, **run_kwargs)
+    result_a = run_sweep(spec_a, history=history, **run_kwargs)
+    result_b = run_sweep(spec_b, history=history, **run_kwargs)
     return diff_sweeps(
         result_a,
         result_b,

@@ -149,6 +149,12 @@ def disseminate_many(
 # ----------------------------------------------------------------------
 
 
+# Rejection rounds a row may take before the exact sampler finishes it.
+# Rows that start on rejection accept each round with probability at
+# least 1/2, so a row reaching the cap has odds below 2**-32.
+_REJECTION_ROUNDS = 32
+
+
 def _sample_positions(
     pool_lens: np.ndarray, budgets: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -157,29 +163,58 @@ def _sample_positions(
     ``pool_lens > budgets >= 1``). Returns ``(rows, max_budget)`` with
     columns past a row's budget filled by out-of-range sentinels.
 
-    Uses duplicate-only rejection: draw i.i.d. uniforms, redraw rows
-    whose positions collide. Acceptance is ≥ 1 - k²/(2·len), so the
-    loop converges in ~1 round for gossip-sized pools.
+    Rows whose whole draw is collision-free with probability
+    ``prod(1 - i/len for i < budget) >= 1/2`` use duplicate-only
+    rejection: draw i.i.d. uniforms, redraw rows whose positions
+    collide. Rows below that (a budget close to the pool, where
+    rejection would spin for ever) and rows still colliding after
+    :data:`_REJECTION_ROUNDS` take the exact sampler: one uniform key
+    per pool slot, the budget smallest keys win. At most
+    ``_REJECTION_ROUNDS + 2`` draw calls, whatever the input.
     """
     m = pool_lens.size
     width = int(budgets.max()) if m else 0
     cols = np.arange(width, dtype=np.int64)[None, :]
     sentinel = pool_lens[:, None] + cols
     live = cols < budgets[:, None]
-    pos = np.where(
-        live, rng.integers(0, pool_lens[:, None], size=(m, width)), sentinel
+    acceptance = np.where(live, 1.0 - cols / pool_lens[:, None], 1.0).prod(
+        axis=1
     )
-    pending = np.arange(m)
-    while pending.size:
+    pos = sentinel.copy()
+    pending = np.flatnonzero(acceptance >= 0.5)
+    exact = [np.flatnonzero(acceptance < 0.5)]
+    if pending.size:
+        pos[pending] = np.where(
+            live[pending],
+            rng.integers(
+                0, pool_lens[pending][:, None], size=(pending.size, width)
+            ),
+            sentinel[pending],
+        )
+    for _ in range(_REJECTION_ROUNDS):
         sub = np.sort(pos[pending], axis=1)
-        bad = (np.diff(sub, axis=1) == 0).any(axis=1)
-        pending = pending[bad]
+        pending = pending[(np.diff(sub, axis=1) == 0).any(axis=1)]
         if not pending.size:
             break
         redraw = rng.integers(
             0, pool_lens[pending][:, None], size=(pending.size, width)
         )
         pos[pending] = np.where(live[pending], redraw, sentinel[pending])
+    else:
+        exact.append(pending)
+    rows = np.concatenate(exact)
+    if rows.size:
+        lens = pool_lens[rows]
+        # At least ``width`` slots: another row may want more positions
+        # than these rows' pools hold.
+        slots = np.arange(max(int(lens.max()), width), dtype=np.int64)
+        keys = np.where(
+            slots[None, :] < lens[:, None],
+            rng.random((rows.size, slots.size)),
+            np.inf,
+        )
+        order = np.argsort(keys, axis=1)[:, :width]
+        pos[rows] = np.where(live[rows], order, sentinel[rows])
     return pos
 
 

@@ -209,13 +209,19 @@ def _csv_floats(text: str) -> Tuple[float, ...]:
     return tuple(float(part) for part in _csv(text))
 
 
-_SWEEP_GRID_DEFAULTS = {
-    "scenarios": ("static",),
-    "protocols": ("randcast", "ringcast"),
-    "nodes": (150,),
-    "fanouts": (1, 2, 3, 4),
-    "replicates": 2,
-    "messages": 5,
+# The bare grid flags: flag -> (SweepSpec field, value parser, default,
+# help). Parameter flags come from the scenario schemas instead.
+_SWEEP_GRID_FLAGS = {
+    "--scenarios": ("scenarios", _csv, ("static",), "scenario names"),
+    "--protocols": (
+        "protocols", _csv, ("randcast", "ringcast"), "overlay kinds"
+    ),
+    "--nodes": ("num_nodes", _csv_ints, (150,), "population sizes"),
+    "--fanouts": ("fanouts", _csv_ints, (1, 2, 3, 4), "fanouts"),
+    "--replicates": (
+        "replicates", int, 2, "independent seed replicates per cell"
+    ),
+    "--messages": ("num_messages", int, 5, "messages posted per trial"),
 }
 
 
@@ -223,7 +229,7 @@ def _param_flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _sweep_selections(args, scenarios, param_values):
+def _sweep_selections(scenarios, param_values):
     """Per-scenario selections from the auto-generated param flags.
 
     Each given parameter attaches to exactly the selected scenarios
@@ -253,78 +259,47 @@ def _sweep_selections(args, scenarios, param_values):
     return tuple(selections)
 
 
-def _resolve_sweep_request(args):
-    """What this invocation describes: ``(spec, run_kwargs)``.
+def _refuse(reason: str, *flags: Tuple[str, bool]) -> None:
+    """Raise when any ``(flag, given)`` pair was given: ``reason`` says
+    why the invocation cannot honour it."""
+    given = [flag for flag, present in flags if present]
+    if given:
+        raise ConfigurationError(f"{reason}; drop {given}")
 
-    Three mutually-exclusive forms, mirroring ``api.run_sweep``:
-    ``--spec FILE``; auto-generated parameter flags (built into
-    scenario selections); or bare grid flags, which keep the
-    historical flat-grid semantics of ``flat_spec``.
+
+def _sweep_specs(args, param_values, overrides):
+    """``(run, dump)``: the spec this invocation runs and the
+    self-contained one ``--dump-spec`` writes.
+
+    Three forms: ``--spec FILE``; auto-generated parameter flags (built
+    into scenario selections, with seed, scale and overrides baked
+    in); or bare grid flags, which run ``flat_spec`` with nothing baked
+    in — every stored history address of a bare-flag sweep hashes that
+    spec's fingerprint. A dumped ``--spec`` file carries the given
+    ``--seed``, ``--scale`` and ``--warmup`` over its own.
     """
+    from dataclasses import replace
+
     from repro.experiments.sweep_spec import SweepSpec, flat_spec
 
-    param_values = {
-        name: getattr(args, f"param_{name}")
-        for name in registered_params()
-        if getattr(args, f"param_{name}") is not None
-    }
-
-    overrides = {}
-    if args.warmup is not None:
-        overrides["warmup_cycles"] = args.warmup
-
     if args.spec is not None:
-        grid_given = sorted(
-            f"--{flag}"
-            for flag in _SWEEP_GRID_DEFAULTS
-            if getattr(args, flag) is not None
-        )
-        conflicting = grid_given + [
-            _param_flag(name) for name in sorted(param_values)
-        ]
-        if conflicting:
-            raise ConfigurationError(
-                f"--spec already defines the grid; drop {conflicting} "
-                "(edit the spec file instead)"
-            )
         spec = SweepSpec.load(args.spec)
-        return spec, dict(spec=spec, **overrides)
-
-    def flag_value(flag):
-        given = getattr(args, flag)
-        return given if given is not None else _SWEEP_GRID_DEFAULTS[flag]
-
-    grid_kwargs = dict(
-        scenarios=flag_value("scenarios"),
-        protocols=flag_value("protocols"),
-        num_nodes=flag_value("nodes"),
-        fanouts=flag_value("fanouts"),
-        replicates=flag_value("replicates"),
-        num_messages=flag_value("messages"),
-    )
+        return spec, replace(
+            spec,
+            seed=spec.seed if args.seed is None else args.seed,
+            scale=spec.scale if args.scale is None else args.scale,
+            config_overrides={**dict(spec.config_overrides), **overrides},
+        )
+    grid = {}
+    for field, _, default, _ in _SWEEP_GRID_FLAGS.values():
+        given = getattr(args, field)
+        grid[field] = default if given is None else given
+    baked = dict(seed=args.seed, scale=args.scale, config_overrides=overrides)
     if param_values:
-        selections = _sweep_selections(
-            args, grid_kwargs["scenarios"], param_values
-        )
-        spec = SweepSpec(
-            **dict(grid_kwargs, scenarios=selections),
-            seed=args.seed,
-            scale=args.scale,
-            config_overrides=overrides,
-        )
-        return spec, dict(spec=spec, **overrides)
-
-    # Bare flags run as a plain-name api.run_sweep call, whose spec
-    # bakes in no seed/scale/overrides — the history address of every
-    # existing store depends on that. The spec returned here (what
-    # --dump-spec writes) is the self-contained description.
-    spec = flat_spec(
-        **grid_kwargs,
-        seed=args.seed,
-        scale=args.scale,
-        config_overrides=overrides,
-    )
-    return spec, dict(grid_kwargs, **overrides)
+        selections = _sweep_selections(grid["scenarios"], param_values)
+        spec = SweepSpec(**dict(grid, scenarios=selections), **baked)
+        return spec, spec
+    return flat_spec(**grid), flat_spec(**grid, **baked)
 
 
 def _run_sweep(args) -> None:
@@ -334,6 +309,42 @@ def _run_sweep(args) -> None:
         raise ConfigurationError(
             "--snapshot-cache and --no-snapshot-cache contradict each "
             "other; pick one"
+        )
+    for flag in ("ci_width", "max_replicates", "ci_metric"):
+        if getattr(args, flag) is not None and not args.adaptive:
+            raise ConfigurationError(
+                f"{_param_flag(flag)} only applies with --adaptive"
+            )
+    param_values = {
+        name: getattr(args, f"param_{name}")
+        for name in registered_params()
+        if getattr(args, f"param_{name}") is not None
+    }
+    if args.diff is not None:
+        _refuse(
+            "--diff compares two spec files",
+            ("--spec", args.spec is not None),
+            ("--dump-spec", args.dump_spec is not None),
+            ("--adaptive", args.adaptive),
+            ("--json", args.json is not None),
+        )
+    if args.spec is not None or args.diff is not None:
+        _refuse(
+            f"{'--spec' if args.diff is None else '--diff'} already "
+            "defines the grid (edit the spec file instead)",
+            *(
+                (flag, getattr(args, field) is not None)
+                for flag, (field, *_) in sorted(_SWEEP_GRID_FLAGS.items())
+            ),
+            *((_param_flag(name), True) for name in sorted(param_values)),
+        )
+    if args.dump_spec is not None:
+        _refuse(
+            "--dump-spec writes a spec file and runs nothing; a spec "
+            "file cannot carry these",
+            ("--adaptive", args.adaptive),
+            ("--json", args.json is not None),
+            ("--history", args.history is not None),
         )
     snapshot_cache = args.snapshot_cache
     if (
@@ -351,7 +362,12 @@ def _run_sweep(args) -> None:
         tag = "cached" if cached else f"~{seconds:.1f}s"
         print(f"[{done['count']}] {key} ({tag})")
 
-    exec_kwargs = dict(
+    overrides = {}
+    if args.warmup is not None:
+        overrides["warmup_cycles"] = args.warmup
+    run_kwargs = dict(
+        scale=args.scale,
+        seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache,
         progress=narrate if args.verbose else None,
@@ -359,42 +375,23 @@ def _run_sweep(args) -> None:
         overlay_reuse=args.overlay_reuse,
         snapshot_cache_max_bytes=args.snapshot_cache_max_bytes,
         history=args.history,
+        **overrides,
     )
 
     if args.diff is not None:
-        conflicting = [
-            flag
-            for flag, given in (
-                ("--spec", args.spec is not None),
-                ("--dump-spec", args.dump_spec is not None),
-                ("--adaptive", args.adaptive),
-                ("--json", args.json is not None),
-            )
-            if given
-        ]
-        if conflicting:
-            raise ConfigurationError(
-                f"--diff compares two spec files; drop {conflicting}"
-            )
         from repro.experiments.history import render_sweep_diff
 
         spec_a, spec_b = args.diff
-        diff = run_sweep_diff(
-            spec_a,
-            spec_b,
-            scale=args.scale,
-            seed=args.seed,
-            **exec_kwargs,
-        )
+        diff = run_sweep_diff(spec_a, spec_b, **run_kwargs)
         _emit(render_sweep_diff(diff), "sweep-diff", args.out)
         return
 
-    spec, run_kwargs = _resolve_sweep_request(args)
+    spec, dump = _sweep_specs(args, param_values, overrides)
     if args.dump_spec is not None:
-        path = spec.save(args.dump_spec)
+        path = dump.save(args.dump_spec)
         print(
             f"(spec written to {path}; fingerprint "
-            f"{spec.fingerprint()} — run it with "
+            f"{dump.fingerprint()} — run it with "
             f"`repro sweep --spec {path}`)"
         )
         return
@@ -403,8 +400,7 @@ def _run_sweep(args) -> None:
         from repro.experiments.adaptive import render_adaptive_summary
 
         outcome = run_adaptive_sweep(
-            scale=args.scale,
-            seed=args.seed,
+            spec,
             ci_width=args.ci_width if args.ci_width is not None else 1.0,
             max_replicates=(
                 args.max_replicates
@@ -414,28 +410,13 @@ def _run_sweep(args) -> None:
             ci_metric=(
                 args.ci_metric if args.ci_metric is not None else "miss_ratio"
             ),
-            **exec_kwargs,
             **run_kwargs,
         )
         result = outcome.result
         text = report.render_sweep(result)
         text += "\n\n" + render_adaptive_summary(outcome)
     else:
-        for flag, given in (
-            ("--ci-width", args.ci_width is not None),
-            ("--max-replicates", args.max_replicates is not None),
-            ("--ci-metric", args.ci_metric is not None),
-        ):
-            if given:
-                raise ConfigurationError(
-                    f"{flag} only applies with --adaptive"
-                )
-        result = run_sweep(
-            scale=args.scale,
-            seed=args.seed,
-            **exec_kwargs,
-            **run_kwargs,
-        )
+        result = run_sweep(spec, **run_kwargs)
         text = report.render_sweep(result)
     _emit(text, "sweep", args.out)
     if args.json is not None:
@@ -785,44 +766,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="write this invocation as a spec file and exit without "
         "running (pairs with --spec for a lossless round-trip)",
     )
-    sub.add_argument(
-        "--scenarios",
-        type=_csv,
-        default=None,
-        help="comma-separated scenario names, from: "
-        + ",".join(scenario_names())
-        + " (default: static)",
-    )
-    sub.add_argument(
-        "--protocols",
-        type=_csv,
-        default=None,
-        help="comma-separated overlay kinds (default: randcast,ringcast)",
-    )
-    sub.add_argument(
-        "--nodes",
-        type=_csv_ints,
-        default=None,
-        help="comma-separated population sizes (default: 150)",
-    )
-    sub.add_argument(
-        "--fanouts",
-        type=_csv_ints,
-        default=None,
-        help="comma-separated fanouts (default: 1,2,3,4)",
-    )
-    sub.add_argument(
-        "--replicates",
-        type=int,
-        default=None,
-        help="independent seed replicates per cell (default: 2)",
-    )
-    sub.add_argument(
-        "--messages",
-        type=int,
-        default=None,
-        help="messages posted per trial (default: 5)",
-    )
+    for flag, (field, parse, default, text) in _SWEEP_GRID_FLAGS.items():
+        if parse is not int:
+            text = "comma-separated " + text
+            default = ",".join(map(str, default))
+        if field == "scenarios":
+            text += ", from: " + ",".join(scenario_names())
+        sub.add_argument(
+            flag,
+            dest=field,
+            type=parse,
+            default=None,
+            metavar=flag[2:].upper(),
+            help=f"{text} (default: {default})",
+        )
     params_group = sub.add_argument_group(
         "scenario parameters",
         "auto-generated from the registered scenario schemas — a "

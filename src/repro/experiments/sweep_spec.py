@@ -28,10 +28,11 @@ Two constructors cover the common cases:
 * :func:`flat_spec` is the one home of the historical flat-grid
   semantics (``kill_fractions`` applied to every scenario that
   consumes ``kill_fraction``, ``concurrent_messages``/
-  ``pulls_per_round`` applied to every scenario). Plain-name sweeps
-  (``api.run_sweep(scenarios=("static",))``, bare ``repro sweep``)
-  expand through it, so they keep their exact trial expansion — and
-  therefore their RNG universes, cache keys and output bytes.
+  ``pulls_per_round`` applied to every scenario). Flat grids
+  (``api.run_sweep(flat_spec(scenarios=("static",)))``, bare
+  ``repro sweep``) expand through it, so they keep their exact trial
+  expansion — and therefore their RNG universes, cache keys and output
+  bytes.
 
 Expansion order: scenario → parameter combination → protocol →
 population → fanout → replicate, with parameter axes nested in

@@ -103,16 +103,18 @@ class TestRunExperiment:
 
 class TestRunSweepApi:
     def test_returns_aggregated_result(self):
-        from repro.api import run_sweep
+        from repro.api import flat_spec, run_sweep
         from repro.experiments.sweep_results import SweepResult
 
         result = run_sweep(
-            scenarios=("static",),
-            protocols=("ringcast",),
-            num_nodes=(40,),
-            fanouts=(2, 3),
-            replicates=1,
-            num_messages=2,
+            flat_spec(
+                scenarios=("static",),
+                protocols=("ringcast",),
+                num_nodes=(40,),
+                fanouts=(2, 3),
+                replicates=1,
+                num_messages=2,
+            ),
             scale="tiny",
             seed=9,
             warmup_cycles=10,
@@ -123,10 +125,10 @@ class TestRunSweepApi:
         assert result.cell("static", "ringcast", 40, 2).replicates == 1
 
     def test_rejects_unknown_scenario(self):
-        from repro.api import run_sweep
+        from repro.api import SweepSpec, run_sweep
 
         with pytest.raises(ConfigurationError):
-            run_sweep(scenarios=("apocalypse",))
+            run_sweep(SweepSpec(scenarios=("apocalypse",)))
 
 
 class TestCli:

@@ -23,11 +23,12 @@ Pins the PR's load-bearing contracts:
   array core).
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.arraysim
@@ -43,6 +44,7 @@ from repro.arraysim import (
     supports_policy,
     uses_array_core,
 )
+from repro.arraysim import engine
 from repro.arraysim.codec import decode_overlay
 from repro.common.errors import ConfigurationError
 from repro.dissemination.executor import disseminate as object_disseminate
@@ -241,6 +243,154 @@ class TestFastPath:
 # ----------------------------------------------------------------------
 # codec: .npz round-trip and hardening
 # ----------------------------------------------------------------------
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its draw calls."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.random(*args, **kwargs)
+
+
+def rejection_sampler(pool_lens, budgets, rng):
+    """The duplicate-only rejection sampler as it stood before rows
+    with a low acceptance got the exact sampler (kept verbatim: rows
+    at or above acceptance 1/2 must still draw exactly this)."""
+    m = pool_lens.size
+    width = int(budgets.max()) if m else 0
+    cols = np.arange(width, dtype=np.int64)[None, :]
+    sentinel = pool_lens[:, None] + cols
+    live = cols < budgets[:, None]
+    pos = np.where(
+        live, rng.integers(0, pool_lens[:, None], size=(m, width)), sentinel
+    )
+    pending = np.arange(m)
+    while pending.size:
+        sub = np.sort(pos[pending], axis=1)
+        bad = (np.diff(sub, axis=1) == 0).any(axis=1)
+        pending = pending[bad]
+        if not pending.size:
+            break
+        redraw = rng.integers(
+            0, pool_lens[pending][:, None], size=(pending.size, width)
+        )
+        pos[pending] = np.where(live[pending], redraw, sentinel[pending])
+    return pos
+
+
+def acceptance(pool_len: int, budget: int) -> float:
+    """Odds that ``budget`` i.i.d. draws from ``pool_len`` are distinct."""
+    return math.prod(1 - i / pool_len for i in range(budget))
+
+
+pool_rows = st.lists(
+    st.integers(2, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestSamplePositions:
+    """``engine._sample_positions``: rejection where it converges fast,
+    an exact bounded sampler where it would stall."""
+
+    @given(rows=pool_rows, seed=st.integers(0, 2**32 - 1))
+    # A likely row wanting more positions than an exact row's pool.
+    @example(rows=[(20, 5), (4, 3)], seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_in_range_with_bounded_draws(self, rows, seed):
+        pool_lens = np.array([n for n, _ in rows], dtype=np.int64)
+        budgets = np.array([k for _, k in rows], dtype=np.int64)
+        rng = CountingGenerator(seed)
+        pos = engine._sample_positions(pool_lens, budgets, rng)
+        assert pos.shape == (len(rows), budgets.max())
+        for row, (n, k) in zip(pos.tolist(), rows):
+            assert len(set(row[:k])) == k
+            assert all(0 <= p < n for p in row[:k])
+            assert all(p >= n for p in row[k:])  # sentinels
+        assert rng.calls <= engine._REJECTION_ROUNDS + 2
+        if all(acceptance(n, k) < 0.5 for n, k in rows):
+            assert rng.calls == 1
+
+    @given(rows=pool_rows, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_likely_rows_keep_the_rejection_draws(self, rows, seed):
+        rows = [(n, k) for n, k in rows if acceptance(n, k) >= 0.5]
+        if not rows:
+            return
+        pool_lens = np.array([n for n, _ in rows], dtype=np.int64)
+        budgets = np.array([k for _, k in rows], dtype=np.int64)
+        got = engine._sample_positions(
+            pool_lens, budgets, np.random.default_rng(seed)
+        )
+        want = rejection_sampler(
+            pool_lens, budgets, np.random.default_rng(seed)
+        )
+        assert np.array_equal(got, want)
+
+    def test_exact_sampler_is_uniform(self):
+        # 5 of 6 (acceptance 0.09): a row is its one left-out position,
+        # which must be uniform over the 6. The chi-square bound is
+        # p ~ 1e-4 at 5 degrees of freedom; the seed is fixed.
+        rows = 12_000
+        pos = engine._sample_positions(
+            np.full(rows, 6, dtype=np.int64),
+            np.full(rows, 5, dtype=np.int64),
+            np.random.default_rng(7),
+        )
+        left_out = 15 - pos.sum(axis=1)
+        counts = np.bincount(left_out, minlength=6)
+        expected = rows / 6
+        assert ((counts - expected) ** 2 / expected).sum() < 25.0
+
+    @pytest.mark.parametrize(
+        "kind, policy, fanout",
+        [
+            ("randcast", RandCastPolicy(), 16),
+            ("randcast", RandCastPolicy(), 19),
+            ("ringcast", RingCastPolicy(), 18),
+            ("ringcast", RingCastPolicy(), 20),
+        ],
+    )
+    def test_fanout_near_the_view_size_completes(self, kind, policy, fanout):
+        # N=1000, 20 distinct r-links per node: the leftover rows that
+        # reach the sampler want nearly their whole pool, and pure
+        # rejection used to spin on them for ever.
+        rng = random.Random(3)
+        ids = range(1000)
+        snapshot = OverlaySnapshot(
+            kind=kind,
+            rlinks={
+                i: tuple(rng.sample([j for j in ids if j != i], 20))
+                for i in ids
+            },
+            dlinks=(
+                {i: ((i - 1) % 1000, (i + 1) % 1000) for i in ids}
+                if kind == "ringcast"
+                else {}
+            ),
+            alive_ids=tuple(ids),
+            ring_ids={},
+            join_cycles={},
+            frozen_at_cycle=0,
+        )
+        draws = CountingGenerator(5)
+        results = disseminate_many(snapshot, policy, fanout, [0, 1, 2], draws)
+        assert [r.hit_ratio for r in results] == [1.0, 1.0, 1.0]
+        hops = max(r.hops for r in results) + 1
+        # Per hop: one phase-1 draw, two retries, then the sampler.
+        assert draws.calls <= hops * (3 + engine._REJECTION_ROUNDS + 2)
 
 
 class TestCodec:

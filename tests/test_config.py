@@ -12,7 +12,7 @@ from repro.experiments.config import (
     OverlaySpec,
     scale_config,
 )
-from repro.experiments.sweep_spec import SweepSpec
+from repro.experiments.sweep_spec import SweepSpec, flat_spec
 from repro.membership.ring_ids import RingProximity
 from repro.sim.node import NodeProfile
 
@@ -124,7 +124,7 @@ class TestExperimentConfig:
         )
         for facade in (api.run_sweep, api.run_adaptive_sweep):
             with pytest.raises(ConfigurationError, match=message):
-                facade(scenarios=("static",), scale="tiny", **{name: 3})
+                facade(flat_spec(), scale="tiny", **{name: 3})
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"scale": "tiny", "config": {name: 3}}))
         with pytest.raises(ConfigurationError, match=message):

@@ -46,7 +46,7 @@ from repro.experiments.htmlreport import (
 from repro.experiments.sweep import TrialListGrid
 from repro.experiments.sweep import run_sweep as run_sweep_core
 from repro.experiments.sweep_results import TrialSpec, config_fingerprint
-from repro.experiments.sweep_spec import SweepSpec, flat_spec
+from repro.experiments.sweep_spec import SweepSpec, flat_spec, scenario
 from tests.store_defects import FILE_DEFECTS
 
 HISTORY_MAGIC = b"RHISTZ1\n"  # pinned: the on-disk format, not an import
@@ -303,25 +303,38 @@ class TestHistoryHardening:
         )
 
 
+def pure_hit_store(fixture, tmp_path, monkeypatch):
+    """A copy of a committed history store (a hit bumps the entry's
+    mtime), with both trial executors made to fail: any answer must
+    come from the store."""
+
+    def explode(*args, **kwargs):  # pragma: no cover - must not run
+        raise AssertionError("history address moved: entry missed")
+
+    monkeypatch.setattr(repro.api, "_run_sweep", explode)
+    monkeypatch.setattr(repro.api, "_run_adaptive", explode)
+    return shutil.copytree(DATA_DIR / "stores" / fixture, tmp_path / "store")
+
+
 class TestHistoryFacade:
-    KW = dict(
+    SPEC = flat_spec(
         scenarios=("static",),
         protocols=("randcast",),
         num_nodes=(40,),
         fanouts=(2,),
         replicates=2,
         num_messages=2,
-        warmup_cycles=10,
     )
+    KW = dict(warmup_cycles=10)
 
     def test_identical_rerun_executes_zero_trials(self, tmp_path, monkeypatch):
-        first = run_sweep(history=tmp_path, **self.KW)
+        first = run_sweep(self.SPEC, history=tmp_path, **self.KW)
 
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("history hit must not execute trials")
 
         monkeypatch.setattr(repro.api, "_run_sweep", explode)
-        second = run_sweep(history=tmp_path, **self.KW)
+        second = run_sweep(self.SPEC, history=tmp_path, **self.KW)
         assert second.to_json() == first.to_json()
 
     def test_parent_written_plain_name_entry_is_a_pure_hit(
@@ -343,12 +356,14 @@ class TestHistoryFacade:
 
         monkeypatch.setattr(repro.api, "_run_sweep", explode)
         result = run_sweep(
-            scenarios=("static", "catastrophic"),
-            protocols=("ringcast",),
-            num_nodes=(40,),
-            fanouts=(2,),
-            replicates=1,
-            num_messages=2,
+            flat_spec(
+                scenarios=("static", "catastrophic"),
+                protocols=("ringcast",),
+                num_nodes=(40,),
+                fanouts=(2,),
+                replicates=1,
+                num_messages=2,
+            ),
             scale="tiny",
             seed=5,
             warmup_cycles=10,
@@ -369,22 +384,108 @@ class TestHistoryFacade:
         assert out.read_text(encoding="utf-8") == result.to_json() + "\n"
         assert [e.address for e in list_history(store)] == [entry.address]
 
+    def test_parent_written_param_flag_entry_is_a_pure_hit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``tests/data/stores/history_param_flags/`` was written by the
+        ``repro sweep`` below before the grid keywords were removed
+        (8.0.0). Parameter flags bake seed, scale and overrides into
+        the spec, so the facade answers from the entry only with that
+        same spec."""
+        store = pure_hit_store("history_param_flags", tmp_path, monkeypatch)
+        (entry,) = list_history(store)
+        out = tmp_path / "cli.json"
+        argv = "sweep --scale tiny --seed 5 --scenarios static,catastrophic"
+        argv += " --protocols ringcast --nodes 40 --fanouts 2 --replicates 1"
+        argv += " --messages 2 --warmup 10 --kill-fraction 0.05,0.1"
+        argv += f" --history {store} --json {out}"
+        from repro.cli import main
+
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        result = run_sweep(
+            SweepSpec(
+                scenarios=(
+                    "static",
+                    scenario("catastrophic", kill_fraction=[0.05, 0.1]),
+                ),
+                protocols=("ringcast",),
+                num_nodes=(40,),
+                fanouts=(2,),
+                replicates=1,
+                num_messages=2,
+                seed=5,
+                scale="tiny",
+                config_overrides={"warmup_cycles": 10},
+            ),
+            history=store,
+        )
+        assert [t.spec.key for t in result.trials] == [
+            "sweep/static/ringcast/n40/f2/m2/kill0.0/churn0.0/cm1/p1/rep0",
+            "sweep/catastrophic/ringcast/n40/f2/m2/kill0.05/churn0.0/cm1/p1/rep0",
+            "sweep/catastrophic/ringcast/n40/f2/m2/kill0.1/churn0.0/cm1/p1/rep0",
+        ]
+        assert out.read_text(encoding="utf-8") == result.to_json() + "\n"
+        assert [e.address for e in list_history(store)] == [entry.address]
+
+    def test_parent_written_adaptive_entry_is_a_pure_hit(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``tests/data/stores/history_adaptive/`` was written by the
+        bare-flag ``repro sweep --adaptive`` below before the grid
+        keywords were removed (8.0.0)."""
+        store = pure_hit_store("history_adaptive", tmp_path, monkeypatch)
+        (entry,) = list_history(store)
+        out = tmp_path / "cli.json"
+        argv = "sweep --scale tiny --seed 5 --scenarios static"
+        argv += " --protocols ringcast,randcast --nodes 40 --fanouts 2"
+        argv += " --replicates 2 --messages 2 --warmup 10"
+        argv += " --adaptive --ci-width 0.5 --max-replicates 3"
+        argv += f" --history {store} --json {out}"
+        from repro.cli import main
+
+        assert main(argv.split()) == 0
+        assert "trials executed: 5 (fixed run at the cap: 6)" in (
+            capsys.readouterr().out
+        )
+        outcome = run_adaptive_sweep(
+            flat_spec(
+                scenarios=("static",),
+                protocols=("ringcast", "randcast"),
+                num_nodes=(40,),
+                fanouts=(2,),
+                replicates=2,
+                num_messages=2,
+            ),
+            scale="tiny",
+            seed=5,
+            warmup_cycles=10,
+            ci_width=0.5,
+            max_replicates=3,
+            history=store,
+        )
+        assert outcome.rounds == 2
+        assert sorted(c.replicates for c in outcome.allocation) == [2, 3]
+        expected = outcome.result.to_json() + "\n"
+        assert out.read_text(encoding="utf-8") == expected
+        assert [e.address for e in list_history(store)] == [entry.address]
+
     def test_different_seed_misses(self, tmp_path):
-        first = run_sweep(history=tmp_path, **self.KW)
-        other = run_sweep(history=tmp_path, seed=7, **self.KW)
+        first = run_sweep(self.SPEC, history=tmp_path, **self.KW)
+        other = run_sweep(self.SPEC, history=tmp_path, seed=7, **self.KW)
         assert other.root_seed != first.root_seed
         assert len(list_history(tmp_path)) == 2
 
     def test_adaptive_hit_restores_outcome(self, tmp_path, monkeypatch):
         kw = dict(self.KW, ci_width=0.5, max_replicates=4)
-        first = run_adaptive_sweep(history=tmp_path, **kw)
+        first = run_adaptive_sweep(self.SPEC, history=tmp_path, **kw)
 
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("adaptive history hit must not run")
 
         monkeypatch.setattr(repro.api, "_run_adaptive", explode)
         monkeypatch.setattr(repro.api, "_run_sweep", explode)
-        second = run_adaptive_sweep(history=tmp_path, **kw)
+        second = run_adaptive_sweep(self.SPEC, history=tmp_path, **kw)
         assert second.result.to_json() == first.result.to_json()
         assert second.to_history_dict() == first.to_history_dict()
 
@@ -632,6 +733,85 @@ class TestExperimentServiceCli:
                 "sweep", "--diff", str(spec), str(spec), "--json", str(out)
             )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--nodes", "999"], "--nodes"),
+            (["--scenarios", "static"], "--scenarios"),
+            (["--replicates", "5"], "--replicates"),
+            (["--kill-fraction", "0.5"], "--kill-fraction"),
+        ],
+    )
+    def test_diff_rejects_grid_and_param_flags(
+        self, tmp_path, monkeypatch, extra, flag
+    ):
+        # The two spec files define both grids; a grid or parameter
+        # flag used to be dropped silently, running the specs' own.
+        spec = SMALL_SPEC.save(tmp_path / "a.json")
+
+        def explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a refused --diff ran trials")
+
+        monkeypatch.setattr(repro.api, "_run_sweep", explode)
+        with pytest.raises(ConfigurationError, match="already defines") as e:
+            self.run_cli("sweep", "--diff", str(spec), str(spec), *extra)
+        assert flag in str(e.value)
+
+    def test_diff_applies_warmup_to_both_specs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        seen = []
+        real = repro.api._run_sweep
+
+        def spy(spec, base_config, **kwargs):
+            seen.append((spec.fingerprint(), base_config.warmup_cycles))
+            return real(spec, base_config=base_config, **kwargs)
+
+        monkeypatch.setattr(repro.api, "_run_sweep", spy)
+        other = SweepSpec(
+            scenarios=("static",),
+            protocols=("randcast",),
+            num_nodes=(40,),
+            fanouts=(2,),
+            replicates=1,
+            num_messages=2,
+        )
+        path_a = SMALL_SPEC.save(tmp_path / "a.json")
+        path_b = other.save(tmp_path / "b.json")
+        assert (
+            self.run_cli(
+                "sweep", "--diff", str(path_a), str(path_b), "--warmup", "7"
+            )
+            == 0
+        )
+        assert "sweep diff:" in capsys.readouterr().out
+        assert seen == [
+            (SMALL_SPEC.fingerprint(), 7),
+            (other.fingerprint(), 7),
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--adaptive"], "--adaptive"),
+            (["--adaptive", "--ci-width", "0.5"], "--adaptive"),
+            (["--adaptive", "--max-replicates", "4"], "--adaptive"),
+            (["--adaptive", "--ci-metric", "hops"], "--adaptive"),
+            (["--ci-width", "0.5"], "--ci-width"),
+            (["--json", "out.json"], "--json"),
+            (["--history", "hist"], "--history"),
+        ],
+    )
+    def test_dump_spec_rejects_what_a_spec_file_cannot_carry(
+        self, tmp_path, monkeypatch, extra, flag
+    ):
+        # These used to be dropped silently: the dump ran nothing and
+        # the written spec could not carry them.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match=flag):
+            self.run_cli(*self.SWEEP_ARGS, "--dump-spec", "spec.json", *extra)
+        assert list(tmp_path.iterdir()) == []
 
     def test_diff_and_report_end_to_end(self, tmp_path, capsys):
         store = tmp_path / "hist"

@@ -114,3 +114,31 @@ class TestMainModule:
         )
         assert proc.returncode == 0
         assert "fig6" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--replicates", "0"], "replicates must be >= 1"),
+            (["--nodes", "1", "--scale", "tiny"], "num_nodes must be >= 3"),
+            (
+                ["--scenarios", "catastrophic", "--kill-fraction", "nan"],
+                "'kill_fraction' expects a finite number",
+            ),
+            (["--diff", "a.json", "b.json", "--nodes", "5"], "--nodes"),
+        ],
+    )
+    def test_configuration_error_is_one_line_exit_2(self, argv, message):
+        # Like argparse's own usage errors: no traceback, status 2.
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("repro: error: ConfigurationError: ")
+        assert message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""

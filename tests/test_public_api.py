@@ -14,7 +14,7 @@ import repro
 
 class TestTopLevelExports:
     def test_version(self):
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -206,6 +206,43 @@ class TestTopLevelExports:
             main(["sweep", "--trial-deadline", "5"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_names_removed_in_9_0_0_are_gone(self, monkeypatch):
+        import inspect
+
+        from repro import api
+        from repro.common.errors import ConfigurationError
+
+        # A SweepSpec is the one grid description; the keywords that
+        # spelled a flat grid next to it are gone from both facades.
+        grid = {
+            "scenarios": ("static",),
+            "protocols": ("ringcast",),
+            "num_nodes": (40,),
+            "fanouts": (2,),
+            "replicates": 1,
+            "num_messages": 2,
+        }
+
+        def explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a removed grid keyword ran trials")
+
+        monkeypatch.setattr(api, "_run_sweep", explode)
+        monkeypatch.setattr(api, "_run_adaptive", explode)
+        for facade in (api.run_sweep, api.run_adaptive_sweep):
+            parameters = inspect.signature(facade).parameters
+            assert list(parameters)[0] == "spec", facade.__name__
+            for name, value in grid.items():
+                assert name not in parameters, (facade.__name__, name)
+                with pytest.raises(TypeError):
+                    facade(**{name: value})
+            with pytest.raises(TypeError):
+                facade(**grid)
+            # Next to a spec they are no config overrides either: three
+            # of them name ExperimentConfig fields every trial replaces.
+            for name, value in grid.items():
+                with pytest.raises(ConfigurationError, match=name):
+                    facade(api.flat_spec(), **{name: value})
 
     @pytest.mark.parametrize(
         "module_name",

@@ -277,8 +277,8 @@ class TestGoldenSweepBytes:
     def test_plain_name_and_spec_paths_share_the_trial_cache(
         self, tmp_path
     ):
-        # A plain-name call expands through flat_spec at its defaults,
-        # so the same grid passed as spec= must hit every cached trial.
+        # A flat_spec grid keeps its trial keys through a spec file,
+        # so the same grid passed as a path must hit every cached trial.
         kwargs = dict(
             scenarios=("static", "multi_message"),
             protocols=("ringcast",),
@@ -287,11 +287,11 @@ class TestGoldenSweepBytes:
             num_messages=2,
         )
         first = api_run_sweep(
-            **kwargs, seed=5, warmup_cycles=10, cache_dir=tmp_path
+            flat_spec(**kwargs), seed=5, warmup_cycles=10, cache_dir=tmp_path
         )
         hits = []
         again = api_run_sweep(
-            spec=flat_spec(**kwargs),
+            spec=flat_spec(**kwargs).save(tmp_path / "flat.json"),
             seed=5,
             warmup_cycles=10,
             cache_dir=tmp_path,
@@ -326,7 +326,7 @@ class TestGoldenSweepBytes:
         monkeypatch.setattr(repro.api, "_run_sweep", explode)
         monkeypatch.setattr(repro.api, "_run_adaptive", explode)
         with pytest.raises(ConfigurationError, match=next(iter(removed))):
-            facade(scenarios=("catastrophic",), **removed)
+            facade(flat_spec(scenarios=("catastrophic",)), **removed)
 
     def test_api_spec_file_matches_seed_bytes(self, tmp_path):
         golden = golden_bytes("golden_sweep_small_pre_redesign.json")
@@ -891,6 +891,32 @@ class TestSweepSpecCli:
             seed=11,
         )
         assert SweepSpec.load(out).fingerprint() == expected.fingerprint()
+
+    def test_dumped_spec_file_carries_seed_scale_and_warmup(
+        self, capsys, tmp_path
+    ):
+        # --spec with --dump-spec used to write the loaded spec as it
+        # was, dropping the flags its run would apply.
+        base = flat_spec(
+            protocols=("ringcast",),
+            num_nodes=(40,),
+            fanouts=(2,),
+            num_messages=2,
+            scale="tiny",
+        ).save(tmp_path / "base.json")
+        flags = ["--seed", "9", "--warmup", "10"]
+        dumped = tmp_path / "dumped.json"
+        dump = ["--dump-spec", str(dumped)]
+        main(["sweep", "--spec", str(base), *flags, *dump])
+        spec = SweepSpec.load(dumped)
+        assert (spec.seed, spec.scale) == (9, "tiny")
+        assert dict(spec.config_overrides) == {"warmup_cycles": 10}
+        with_flags = tmp_path / "with_flags.json"
+        from_dump = tmp_path / "from_dump.json"
+        main(["sweep", "--spec", str(base), *flags, "--json", str(with_flags)])
+        main(["sweep", "--spec", str(dumped), "--json", str(from_dump)])
+        capsys.readouterr()
+        assert with_flags.read_bytes() == from_dump.read_bytes()
 
     def test_spec_conflicts_with_grid_flags(self, tmp_path):
         path = SMALL_GRID.save(tmp_path / "spec.json")
