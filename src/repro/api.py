@@ -35,6 +35,7 @@ from repro.experiments.builder import (
 )
 from repro.experiments.config import ExperimentConfig, OverlaySpec, scale_config
 from repro.experiments.scenario_matrix import (
+    TRIAL_REPLACED_FIELDS,
     registered_params,
     scenario_names,
     scenario_schema,
@@ -225,6 +226,12 @@ def _resolve_sweep(
             f"the spec defines the grid; drop {misplaced} and describe "
             "it in the spec instead (flat_spec(...) or SweepSpec(...))"
         )
+    replaced = sorted(set(config_overrides) & set(TRIAL_REPLACED_FIELDS))
+    if replaced:
+        raise ConfigurationError(
+            f"{replaced} are replaced in every trial and would change "
+            "nothing; drop them"
+        )
     if not isinstance(spec, SweepSpec):
         spec = SweepSpec.load(spec)
     base = scale_config(
@@ -337,7 +344,10 @@ def run_sweep(
     ``scheduling_optimal``, plus anything registered at runtime);
     extra keyword arguments override
     :class:`~repro.experiments.config.ExperimentConfig` fields of the
-    per-trial base configuration (e.g. ``warmup_cycles=40``).
+    per-trial base configuration (e.g. ``warmup_cycles=40``), except
+    the fields every trial replaces
+    (:data:`~repro.experiments.scenario_matrix.TRIAL_REPLACED_FIELDS`),
+    which are a ``ConfigurationError``.
 
     ``history`` names a sweep history store directory (see
     :mod:`repro.experiments.history` and

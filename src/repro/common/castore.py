@@ -5,8 +5,9 @@ history store each keep one JSON mapping per content address. What an
 address covers, what the mapping carries and how its identity is
 validated is theirs; everything about the *file* is decided here, once:
 canonical-JSON framing with an optional per-store magic + zlib, the
-``sha256`` seal, a read for which every defect is a miss, the atomic
-write, and least-recently-used eviction. ``docs/performance.md``
+``sha256`` seal (checked over the bytes read, never by re-encoding), a
+read for which every defect is a miss, the atomic write, and
+least-recently-used eviction. ``docs/performance.md``
 ("On-disk stores") states the rules.
 """
 
@@ -27,7 +28,6 @@ __all__ = [
     "MAX_ENTRY_BYTES",
     "bounded_inflate",
     "canonical_json",
-    "entry_is_intact",
     "entry_paths",
     "gc",
     "read_entry",
@@ -73,22 +73,64 @@ def bounded_inflate(data: bytes, limit: int) -> bytes:
     return out
 
 
-def _integrity(entry: Mapping[str, Any]) -> str:
-    body = {key: value for key, value in entry.items() if key != "sha256"}
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
 def seal_entry(entry: Dict[str, Any]) -> Dict[str, Any]:
     """Set ``entry["sha256"]`` to the hash of its other keys, in place."""
-    entry["sha256"] = _integrity(entry)
+    body = {key: value for key, value in entry.items() if key != "sha256"}
+    text = canonical_json(body)
+    entry["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return entry
 
 
-def entry_is_intact(entry: Any) -> bool:
-    """Whether ``entry`` is a mapping whose seal matches its content."""
-    return isinstance(entry, Mapping) and entry.get("sha256") == _integrity(
-        entry
-    )
+# In canonical JSON a line opening with exactly two spaces and a quote
+# is a top-level key: nested keys sit deeper, and no string holds a raw
+# newline. So the seal is one line, found without parsing.
+_SEAL_LINE = b'\n  "sha256": "'
+_SEAL_HEX = 64
+
+
+def _sealed_text(entry: Mapping[str, Any]) -> str:
+    """``canonical_json(seal_entry(body))`` for the non-seal keys of
+    ``entry``, encoding the body once: the seal line is spliced into
+    the body's text at its sorted place."""
+    body = {key: value for key, value in entry.items() if key != "sha256"}
+    text = canonical_json(body)
+    seal = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    following = [key for key in body if key > "sha256"]
+    if following:  # the seal line goes in front of the next key's
+        at = text.index(f"\n  {json.dumps(min(following))}: ") + 1
+        return f'{text[:at]}  "sha256": "{seal}",\n{text[at:]}'
+    if body:
+        return f'{text[:-2]},\n  "sha256": "{seal}"\n}}'
+    return f'{{\n  "sha256": "{seal}"\n}}'
+
+
+def _seal_holds(text: bytes) -> bool:
+    """Whether ``text`` is what a sealed write produced: the SHA-256 of
+    ``text`` without its seal line (and one trailing newline) — exactly
+    the canonical body the writer hashed — equals the seal."""
+    start = text.find(_SEAL_LINE)
+    if start < 0:
+        return False
+    end = start + len(_SEAL_LINE) + _SEAL_HEX
+    seal = text[end - _SEAL_HEX : end]
+    view = memoryview(text)
+    hasher = hashlib.sha256()
+    closing = text[end : end + 3]
+    if closing == b'",\n':  # a key follows the seal
+        hasher.update(view[: start + 1])
+        rest = view[end + 3 :]
+    elif closing == b'"\n}' and text[start - 1 : start] == b",":
+        hasher.update(view[: start - 1])  # the seal is the last key
+        rest = view[end + 1 :]
+    elif closing == b'"\n}' and start == 1 and text[:1] == b"{":
+        hasher.update(b"{")  # the seal is the only key
+        rest = view[end + 2 :]
+    else:
+        return False
+    if rest[-1:] == b"\n":
+        rest = rest[:-1]
+    hasher.update(rest)
+    return hasher.hexdigest().encode("ascii") == seal
 
 
 def read_entry(
@@ -99,23 +141,21 @@ def read_entry(
     """Load one entry file; ``None`` (a miss) whatever is wrong with it.
 
     A file starting with ``magic`` is inflated first. ``sealed``
-    additionally requires a matching ``sha256`` key, which catches a
-    truncated or bit-rotted write that still parses.
+    additionally requires the text to carry a matching ``sha256`` line,
+    which catches a truncated or bit-rotted write that still parses —
+    and any re-indented, reordered or padded copy, whose text is no
+    longer the one the writer hashed.
     """
     try:
         blob = Path(path).read_bytes()
         if magic is not None and blob.startswith(magic):
             blob = bounded_inflate(blob[len(magic) :], MAX_ENTRY_BYTES)
-        entry = json.loads(blob.decode("utf-8"))
-        # Hashing re-serialises the entry, which recurses as deeply as
-        # parsing did — so it sits under the same guard.
-        if not isinstance(entry, dict) or (
-            sealed and not entry_is_intact(entry)
-        ):
+        if sealed and not _seal_holds(blob):
             return None
+        entry = json.loads(blob.decode("utf-8"))
     except (OSError, ValueError, RecursionError):
         return None
-    return entry
+    return entry if isinstance(entry, dict) else None
 
 
 def write_entry(
@@ -123,14 +163,16 @@ def write_entry(
     entry: Mapping[str, Any],
     magic: Optional[bytes] = None,
     newline: bool = True,
+    sealed: bool = False,
 ) -> Path:
     """Atomically persist one entry (parents created); returns ``path``.
 
-    The file is the entry's canonical JSON, newline-terminated if
+    The file is the entry's canonical JSON — ``sealed``, that of
+    :func:`seal_entry` applied to it — newline-terminated if
     ``newline``; given a ``magic``, a body of :data:`DEFLATE_MIN_BYTES`
     or more is stored as ``magic`` + zlib-deflate when that is smaller.
     """
-    text = canonical_json(dict(entry))
+    text = _sealed_text(entry) if sealed else canonical_json(dict(entry))
     blob = (text + "\n" if newline else text).encode("utf-8")
     if magic is not None and len(blob) >= DEFLATE_MIN_BYTES:
         packed = magic + zlib.compress(blob, 6)

@@ -27,7 +27,6 @@ delta table behind ``repro sweep --diff``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -125,7 +124,7 @@ def history_path(store_dir: Path, address: str) -> Path:
 def _decode_result(entry: Mapping[str, Any]) -> Optional[SweepResult]:
     """The stored :class:`SweepResult`, or ``None`` on any defect."""
     try:
-        result = SweepResult.from_json(canonical_json(entry["result"]))
+        result = SweepResult.from_dict(entry["result"])
     except Exception:
         return None
     if not result.trials:
@@ -261,15 +260,16 @@ def store_history_entry(
         "identity": identity,
         "spec": spec.to_dict(),
         "created": time.time(),
-        "result": json.loads(result.to_json()),
+        "result": result.to_dict(),
     }
     if adaptive is not None:
         entry["adaptive"] = dict(adaptive)
     return castore.write_entry(
         history_path(store_dir, address),
-        castore.seal_entry(entry),
+        entry,
         _ENTRY_MAGIC,
         newline=False,
+        sealed=True,
     )
 
 

@@ -74,6 +74,7 @@ from repro.metrics.dissemination import summarize_runs
 __all__ = [
     "ParamSpec",
     "ScenarioSchema",
+    "TRIAL_REPLACED_FIELDS",
     "execute_trial",
     "register_scenario",
     "registered_params",
@@ -397,6 +398,19 @@ def validate_scenario_params(
             )
         coerced[param_name] = spec.coerce(value)
     return coerced
+
+
+#: The ``ExperimentConfig`` fields :func:`trial_config` replaces in
+#: every trial. Overriding one for a sweep changes no trial; it would
+#: only move the sweep's history address, so specs and the sweep
+#: facades reject them.
+TRIAL_REPLACED_FIELDS = (
+    "num_nodes",
+    "fanouts",
+    "num_messages",
+    "num_networks",
+    "churn_networks",
+)
 
 
 def trial_config(

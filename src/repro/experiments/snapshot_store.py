@@ -299,7 +299,7 @@ def _entry_payload(
         ).decode("ascii")
     else:
         entry["snapshot"] = snapshot_to_dict(snapshot)
-    return castore.seal_entry(entry)
+    return entry
 
 
 def _identity_matches(
@@ -334,7 +334,8 @@ def _decode_entry(
 
     Wrong shape, format drift, identity mismatch, undecodable snapshot
     and non-finite extras are all misses, never crashes. The caller
-    checks the seal (``castore.read_entry`` / ``entry_is_intact``).
+    has checked the seal: ``castore.read_entry`` serves only entries
+    whose file text is the one their writer sealed.
     """
     if not _identity_matches(entry, spec, config, overlay_seed):
         return None
@@ -410,7 +411,7 @@ def store_snapshot_entry(
     address = snapshot_address(spec, config, overlay_seed)
     entry = _entry_payload(spec, config, overlay_seed, snapshot, extras)
     return castore.write_entry(
-        snapshot_path(store_dir, address), entry, _ENTRY_MAGIC
+        snapshot_path(store_dir, address), entry, _ENTRY_MAGIC, sealed=True
     )
 
 
@@ -544,9 +545,12 @@ class SnapshotProvider:
         self._memo[address] = value
 
     def _persist(self, address: str, entry: Mapping[str, Any]) -> None:
-        """Write one already-serialized entry, then enforce the cap."""
+        """Seal and write one entry, then enforce the cap."""
         written = castore.write_entry(
-            snapshot_path(self.store_dir, address), entry, _ENTRY_MAGIC
+            snapshot_path(self.store_dir, address),
+            entry,
+            _ENTRY_MAGIC,
+            sealed=True,
         )
         # The just-written entry is pinned explicitly: on coarse-mtime
         # filesystems its timestamp can tie with older entries, and GC
@@ -565,7 +569,9 @@ class SnapshotProvider:
         address = snapshot_address(spec, config, seed)
         cached = self._memo.get(address)
         if cached is not None:
-            return _entry_payload(spec, config, seed, cached[0], cached[1])
+            return castore.seal_entry(
+                _entry_payload(spec, config, seed, cached[0], cached[1])
+            )
         if self.store_dir is None:
             return None
         # Disk path: the file *is* the serialized entry — return it

@@ -633,7 +633,12 @@ class SweepResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepResult":
-        payload = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "SweepResult":
+        """The result :meth:`to_dict` describes; its ``cells`` are
+        recomputed from the trials, never read."""
         fmt = payload.get("format")
         if fmt != CACHE_FORMAT:
             raise ValueError(

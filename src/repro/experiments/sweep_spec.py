@@ -60,6 +60,7 @@ from typing import (
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, OverlaySpec
 from repro.experiments.scenario_matrix import (
+    TRIAL_REPLACED_FIELDS,
     scenario_schema,
     validate_scenario_params,
 )
@@ -380,13 +381,21 @@ class SweepSpec:
                     f"unknown protocol {protocol!r}; expected one of "
                     f"{_VALID_PROTOCOLS}"
                 )
+        if min(self.num_nodes) < 3:  # TrialSpec's bound, before any trial
+            raise ConfigurationError("num_nodes must be >= 3")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         if self.num_messages < 1:
             raise ConfigurationError("num_messages must be >= 1")
-        ExperimentConfig.check_override_names(
-            name for name, _value in self.config_overrides
-        )
+        names = [name for name, _value in self.config_overrides]
+        ExperimentConfig.check_override_names(names)
+        replaced = sorted(set(names) & set(TRIAL_REPLACED_FIELDS))
+        if replaced:
+            raise ConfigurationError(
+                f"config overrides {replaced} are replaced in every "
+                "trial and would change nothing; the spec's num_nodes, "
+                "fanouts, num_messages and replicates set the grid"
+            )
 
     # -- expansion ------------------------------------------------------
 

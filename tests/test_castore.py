@@ -9,6 +9,7 @@ class is a miss through the public loader" check and their identity
 validation.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import run_sweep
 from repro.common import castore
 from repro.common.errors import ConfigurationError
 from repro.common.rng import child_seed
@@ -51,7 +53,7 @@ from repro.experiments.sweep_results import (
     load_cached_trial,
     store_trial,
 )
-from repro.experiments.sweep_spec import SweepSpec
+from repro.experiments.sweep_spec import SweepSpec, flat_spec
 from tests.store_defects import FILE_DEFECTS, hammer, zip_bomb
 
 # (magic, newline, sealed) exactly as the three stores pass them.
@@ -150,13 +152,110 @@ class TestFraming:
         assert scratch.read_bytes()[:1] == b"{"
         assert castore.read_entry(scratch, b"RSNAPZ1\n") == entry
 
-    def test_seal_covers_every_other_key(self):
+    def test_seal_covers_every_other_key(self, scratch):
         entry = castore.seal_entry(small_entry())
-        assert castore.entry_is_intact(entry)
-        entry["name"] = "edited"
-        assert not castore.entry_is_intact(entry)
-        assert not castore.entry_is_intact(small_entry())  # unsealed
-        assert not castore.entry_is_intact([1, 2, 3])
+        castore.write_entry(scratch, entry)
+        assert castore.read_entry(scratch) == entry
+        for key in small_entry():
+            castore.write_entry(scratch, dict(entry, **{key: "edited"}))
+            assert castore.read_entry(scratch) is None  # stale seal
+        castore.write_entry(scratch, small_entry())  # unsealed
+        assert castore.read_entry(scratch) is None
+        scratch.write_text("[1, 2, 3]")
+        assert castore.read_entry(scratch) is None
+
+
+# Top-level keys either side of "sha256" in sorted order, so the seal
+# line lands first, between two keys, last, or alone.
+_KEYS = st.one_of(
+    st.sampled_from(
+        ["a", "format", "result", "s", "sha", "sha2560", "sha257", "z"]
+    ),
+    st.text(max_size=6),
+).filter(lambda key: key != "sha256")
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=8),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=6), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestTextSeal:
+    """A sealed read checks the seal over the text it read; a sealed
+    write encodes its body once and splices the seal line in."""
+
+    @framings
+    @given(
+        body=st.dictionaries(_KEYS, _VALUES, max_size=5),
+        pad=st.sampled_from([None, "pad", "~pad"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_written_text_is_the_canonical_sealed_entry(
+        self, framing, scratch, body, pad, data
+    ):
+        magic, newline, _sealed = FRAMINGS[framing]
+        if pad is not None:  # big enough to deflate under a magic
+            body[pad] = "x" * castore.DEFLATE_MIN_BYTES
+        castore.write_entry(scratch, body, magic, newline, sealed=True)
+        sealed = castore.seal_entry(dict(body))
+        text = castore.canonical_json(sealed) + ("\n" if newline else "")
+        blob = scratch.read_bytes()
+        deflated = magic is not None and blob.startswith(magic)
+        assert deflated == (magic is not None and pad is not None)
+        if deflated:
+            blob = zlib.decompress(blob[len(magic) :])
+        assert blob == text.encode("utf-8")
+        assert castore.read_entry(scratch, magic) == sealed
+
+        def reframed(raw: bytes) -> bytes:
+            return magic + zlib.compress(raw) if deflated else raw
+
+        position = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.integers(0, 255).filter(
+            lambda value: value != blob[position]
+        ))
+        edited = blob[:position] + bytes([byte]) + blob[position + 1 :]
+        scratch.write_bytes(reframed(edited))
+        assert castore.read_entry(scratch, magic) is None
+        reindented = json.dumps(sealed, sort_keys=True, indent=4)
+        scratch.write_bytes(reframed(reindented.encode("utf-8")))
+        assert castore.read_entry(scratch, magic) is None
+
+    @framings
+    @pytest.mark.parametrize("make", [small_entry, big_entry])
+    def test_sealed_io_encodes_once_per_write_and_never_per_read(
+        self, framing, make, scratch, monkeypatch
+    ):
+        magic, newline, _sealed = FRAMINGS[framing]
+        calls = []
+        encode = castore.canonical_json
+
+        def counted(payload):
+            calls.append(payload)
+            return encode(payload)
+
+        monkeypatch.setattr(castore, "canonical_json", counted)
+        castore.write_entry(scratch, make(), magic, newline, sealed=True)
+        assert len(calls) == 1
+        assert castore.read_entry(scratch, magic) is not None
+        assert len(calls) == 1
+
+    def test_a_sealed_write_replaces_a_stale_seal(self, scratch):
+        entry = dict(small_entry(), sha256="0" * 64)
+        castore.write_entry(scratch, entry, sealed=True)
+        assert castore.read_entry(scratch) == castore.seal_entry(
+            small_entry()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +288,9 @@ class TestCorruption:
         flipped[position] ^= 1 << data.draw(st.integers(0, 7))
         loaded = parse(framing, bytes(flipped), scratch)
         if sealed:
-            # The seal catches the flip, unless it landed somewhere
-            # that decodes back to the identical entry (whitespace).
-            assert loaded is None or loaded == entry
+            # The seal is checked over the text, so even a flip in
+            # whitespace or in the trailing newline is caught.
+            assert loaded is None
         else:
             assert loaded is None or isinstance(loaded, dict)
 
@@ -252,8 +351,8 @@ class TestCorruption:
 
     @framings
     def test_deep_nesting_below_the_parser_limit(self, framing, scratch):
-        """Nesting the parser still accepts must not blow the stack in
-        the seal check (which re-serialises the entry) either."""
+        """Nesting at the parser's limit is a miss or a mapping, never a
+        crash, sealed or not."""
         depth = sys.getrecursionlimit() - 50
         blob = b'{"a": ' + b"[" * depth + b"]" * depth + b"}"
         loaded = parse(framing, blob, scratch)
@@ -530,3 +629,48 @@ class TestParentWrittenFixtures:
             tmp_path / "again", spec, hit.result, 5, digest, history_mode()
         )
         assert self._identical(written, self.FIXTURES / "history")
+
+
+class TestColdSweepBytes:
+    """Every file a cold seed-42 sweep writes, pinned: 16 plain trial
+    cache entries, 16 snapshot entries (8 plain at N=8, 8 deflated at
+    N=40) and one deflated history entry. The manifest digest is over
+    ``"<store>/<file name> <sha256 of its bytes>\\n"`` lines in path
+    order. It was taken while sealed writes still encoded the whole
+    sealed entry, so it shows that splicing the seal line in writes the
+    same bytes. A history entry's ``created`` is the clock, so the
+    clock is pinned."""
+
+    MANIFEST = (
+        "8613b8b6cca68d4bc1d6440b4262497f16111848c3f07e1efb14cf6037d573bf"
+    )
+
+    def test_store_files_match_the_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: 1700000000.25)
+        run_sweep(
+            flat_spec(
+                scenarios=("static", "catastrophic"),
+                num_nodes=(8, 40),
+                fanouts=(2, 3),
+                num_messages=2,
+            ),
+            scale="tiny",
+            seed=42,
+            warmup_cycles=10,
+            cache_dir=tmp_path / "trials",
+            snapshot_cache=tmp_path / "snapshots",
+            history=tmp_path / "history",
+        )
+        files = sorted(tmp_path.rglob("*.json"))
+        counts = {}
+        for path in files:
+            store = path.parent.name
+            counts[store] = counts.get(store, 0) + 1
+        assert counts == {"history": 1, "snapshots": 16, "trials": 16}
+        manifest = "".join(
+            f"{path.relative_to(tmp_path)} "
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            for path in files
+        )
+        digest = hashlib.sha256(manifest.encode("utf-8")).hexdigest()
+        assert digest == self.MANIFEST

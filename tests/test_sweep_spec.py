@@ -13,8 +13,11 @@ with zero CLI edits, and that the flat kwargs and flags removed in
 validation, and the Mundinger ``scheduling_optimal`` baseline scenario.
 """
 
+import json
 import math
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngRegistry
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenario_matrix import (
+    TRIAL_REPLACED_FIELDS,
     ParamSpec,
     ScenarioSchema,
     register_scenario,
@@ -39,6 +43,7 @@ from repro.experiments.scenario_matrix import (
     scenario_names,
     scenario_schema,
     scenarios_consuming,
+    trial_config,
 )
 from repro.experiments.scheduling_optimal import (
     greedy_schedule_rounds,
@@ -424,6 +429,52 @@ class TestSweepSpecValidation:
             SweepSpec(num_nodes=(40, 40))
         with pytest.raises(ConfigurationError, match="config override"):
             SweepSpec(config_overrides={"warp_factor": 9})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("num_nodes", 7),
+            ("fanouts", (9,)),
+            ("num_messages", 4),
+            ("num_networks", 2),
+            ("churn_networks", 2),
+        ],
+    )
+    def test_trial_replaced_config_fields_rejected(
+        self, name, value, tmp_path, monkeypatch
+    ):
+        """Every trial replaces these fields, so overriding one used to
+        run the spec's own grid and only move the history address."""
+        assert name in TRIAL_REPLACED_FIELDS
+        base = ExperimentConfig(num_nodes=40, warmup_cycles=10)
+        trial = SMALL_GRID.expand()[0]
+        assert trial_config(
+            trial, base.with_overrides(**{name: value}), 11
+        ) == trial_config(trial, base, 11)
+        with pytest.raises(ConfigurationError, match=name):
+            SweepSpec(config_overrides={name: value})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"config": {name: value}}))
+        with pytest.raises(ConfigurationError, match=name):
+            SweepSpec.load(path)
+
+        def explode(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("an ignored override reached the engine")
+
+        monkeypatch.setattr(repro.api, "_run_sweep", explode)
+        monkeypatch.setattr(repro.api, "_run_adaptive", explode)
+        for facade in (api_run_sweep, api_run_adaptive_sweep):
+            with pytest.raises(ConfigurationError, match=name):
+                facade(SMALL_GRID, scale="tiny", **{name: value})
+
+    def test_populations_below_three_rejected_at_construction(self):
+        for nodes in ((2,), (40, 1)):
+            with pytest.raises(
+                ConfigurationError, match="num_nodes must be >= 3"
+            ):
+                SweepSpec(num_nodes=nodes)
+        with pytest.raises(ConfigurationError, match="num_nodes must be"):
+            SweepSpec.from_dict({"num_nodes": [0]})
 
     def test_unknown_spec_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown sweep"):
@@ -917,6 +968,23 @@ class TestSweepSpecCli:
         main(["sweep", "--spec", str(dumped), "--json", str(from_dump)])
         capsys.readouterr()
         assert with_flags.read_bytes() == from_dump.read_bytes()
+
+    def test_dump_spec_of_too_few_nodes_fails_and_writes_nothing(
+        self, tmp_path
+    ):
+        out = tmp_path / "c.json"
+        argv = ["sweep", "--nodes", "1", "--dump-spec", str(out)]
+        with pytest.raises(ConfigurationError, match="num_nodes must be"):
+            main(argv)
+        assert not out.exists()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert "num_nodes must be >= 3" in done.stderr
+        assert not out.exists()
 
     def test_spec_conflicts_with_grid_flags(self, tmp_path):
         path = SMALL_GRID.save(tmp_path / "spec.json")
