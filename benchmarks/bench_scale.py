@@ -20,8 +20,9 @@ messages one at a time, exactly as ``sweep_snapshot`` would.
 
 Flooding is reported but not gated: its per-hop work is
 delivery-bound (every link every hop), so the array win is the
-gather/bincount constant (~6–7×), not the ~20×+ of the
-selection-bound randomised policies — expected, and documented in
+gather/dedup constant (~10–11× since a flooding hop runs in row
+blocks, 8.8× before), not the selection vectorization of the
+randomised policies — expected, and documented in
 ``docs/performance.md``.
 
 The Sanghavi-style mean-field check closes the loop on correctness at

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import json
-import zipfile
 
 import numpy as np
 
@@ -92,21 +91,19 @@ def decode_overlay(payload: bytes) -> ArrayOverlay:
 
     Raises:
         SnapshotCodecError: On any malformed payload — truncation,
-            missing arrays, shape mismatches, bad header JSON.
+            corrupt compressed data, missing arrays, bad header JSON,
+            arrays of the wrong dtype, rank or shape, or arrays that
+            disagree with each other.
     """
     try:
         with np.load(io.BytesIO(payload), allow_pickle=False) as data:
             header = json.loads(bytes(data["header"]).decode("utf-8"))
             arrays = {key: data[key] for key in _ARRAY_KEYS}
-    except (
-        KeyError,
-        OSError,
-        ValueError,
-        EOFError,
-        zipfile.BadZipFile,
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-    ) as exc:
+    # ``np.load`` reads untrusted bytes through zipfile, zlib and
+    # numpy's header parser, whose failures are an open set of types
+    # (``zlib.error``, ``NotImplementedError``, ``tokenize.TokenError``
+    # among them): every one of them is a malformed payload.
+    except Exception as exc:
         raise SnapshotCodecError(f"bad snapshot payload: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CODEC_FORMAT:
         raise SnapshotCodecError(
@@ -114,6 +111,7 @@ def decode_overlay(payload: bytes) -> ArrayOverlay:
         )
     n = arrays["ids"].size
     try:
+        _check_dtypes(arrays)
         overlay = ArrayOverlay(
             kind=str(header["kind"]),
             ids=arrays["ids"],
@@ -131,8 +129,10 @@ def decode_overlay(payload: bytes) -> ArrayOverlay:
         )
         overlay.alive[overlay.alive_order] = True
         _validate(overlay)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SnapshotCodecError(f"inconsistent snapshot arrays: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise SnapshotCodecError(
+            f"inconsistent snapshot arrays: {exc}"
+        ) from exc
     return overlay
 
 
@@ -141,9 +141,26 @@ def decode_snapshot(payload: bytes) -> OverlaySnapshot:
     return decode_overlay(payload).to_snapshot()
 
 
+def _check_dtypes(arrays) -> None:
+    """Every array is 1-D; masks are bool and the rest integers, before
+    the overlay's constructor would cast a float or bool array into
+    plausible-looking integers."""
+    for key, array in arrays.items():
+        if array.ndim != 1:
+            raise ValueError(f"{key} is not 1-D")
+        if key.endswith("_haskey"):
+            if array.dtype != np.bool_:
+                raise ValueError(f"{key} is not a bool mask")
+        elif not np.issubdtype(array.dtype, np.integer):
+            raise ValueError(f"{key} is not an integer array")
+
+
 def _validate(overlay: ArrayOverlay) -> None:
     """Structural sanity checks so corrupt arrays fail loudly here."""
     n = overlay.universe_size
+    # ``index_of`` and ``from_snapshot`` assume a sorted, unique universe.
+    if np.any(np.diff(overlay.ids) <= 0):
+        raise ValueError("ids are not strictly increasing")
     if overlay.alive_order.size == 0:
         raise ValueError("snapshot has no alive nodes")
     for indptr, targets in (
@@ -163,6 +180,9 @@ def _validate(overlay: ArrayOverlay) -> None:
         or int(overlay.alive_order.max()) >= n
     ):
         raise ValueError("alive index out of range")
+    # ``alive`` was set from ``alive_order``: fewer marks, a repeat.
+    if np.count_nonzero(overlay.alive) != overlay.alive_order.size:
+        raise ValueError("alive index repeated")
     for key in ("ring_ids", "join_cycles", "r_haskey", "d_haskey"):
         if getattr(overlay, key).size != n:
             raise ValueError(f"{key} size mismatch")

@@ -194,29 +194,30 @@ class ArrayOverlay:
         """CSR of the flooding union: d-links first, deduplicated.
 
         Built lazily (only flooding needs it) and memoised — the union
-        order must match :meth:`OverlaySnapshot.out_links` exactly.
+        order must match :meth:`OverlaySnapshot.out_links` exactly: a
+        row's d-links then its r-links, each kept unless an earlier
+        link of the row has the same target.
         """
         if self._out_cache is None:
-            counts = np.zeros(len(self.ids) + 1, dtype=np.int64)
-            flat: list = []
-            d_indptr = self.d_indptr.tolist()
-            r_indptr = self.r_indptr.tolist()
-            d_targets = self.d_targets.tolist()
-            r_targets = self.r_targets.tolist()
-            for row in range(len(self.ids)):
-                seen: list = []
-                for link in (
-                    d_targets[d_indptr[row]:d_indptr[row + 1]]
-                    + r_targets[r_indptr[row]:r_indptr[row + 1]]
-                ):
-                    if link not in seen:
-                        seen.append(link)
-                counts[row + 1] = len(seen)
-                flat.extend(seen)
-            self._out_cache = (
-                np.cumsum(counts),
-                np.asarray(flat, dtype=np.int64),
-            )
+            n = len(self.ids)
+            d_lens = np.diff(self.d_indptr)
+            r_lens = np.diff(self.r_indptr)
+            width_d = int(d_lens.max()) if n else 0
+            width_r = int(r_lens.max()) if n else 0
+            cols = np.arange(width_d + width_r, dtype=np.int32)
+            # ``[d | r]`` rows, each pad slot a distinct negative value
+            # that matches neither a link nor another pad.
+            mat = np.empty((n, cols.size), dtype=np.int32)
+            mat[:] = -1 - cols
+            mat[:, :width_d][cols[:width_d] < d_lens[:, None]] = self.d_targets
+            mat[:, width_d:][cols[:width_r] < r_lens[:, None]] = self.r_targets
+            keep = mat >= 0
+            for col in range(1, cols.size):
+                earlier = mat[:, :col] == mat[:, col, None]
+                keep[:, col] &= ~earlier.any(axis=1)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+            self._out_cache = (indptr, mat[keep].astype(np.int64))
         return self._out_cache
 
     def padded(self, which: str) -> Tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,14 @@ Pins the PR's load-bearing contracts:
 * **Fast-path exactness where possible** — handed a numpy Generator,
   flooding (which never draws) still matches the object core exactly;
   the randomised policies satisfy the full structural invariant set and
-  are deterministic per seed.
+  are deterministic per seed. A flooding hop runs in row blocks, and
+  where the blocks are cut changes nothing.
 * **Codec round-trip + hardening** — ``.npz`` payloads decode back to
   semantically identical snapshots (dissemination over the rebuilt
   snapshot draws identically); truncated, corrupt, or wrong-format
-  payloads raise :class:`SnapshotCodecError`, never garbage overlays.
+  payloads, and arrays that load but disagree with each other, raise
+  :class:`SnapshotCodecError`, never garbage overlays or another
+  exception.
 * **Core selection** — one rule, :func:`repro.arraysim.uses_array_core`:
   the array core runs from ``ARRAY_CORE_MIN_NODES`` alive nodes up and
   never for a foreign policy; seed-scale sweeps stay on the object core,
@@ -23,6 +26,9 @@ Pins the PR's load-bearing contracts:
   array core).
 """
 
+import functools
+import io
+import json
 import math
 import random
 
@@ -45,7 +51,7 @@ from repro.arraysim import (
     uses_array_core,
 )
 from repro.arraysim import engine
-from repro.arraysim.codec import decode_overlay
+from repro.arraysim.codec import CODEC_FORMAT, decode_overlay
 from repro.common.errors import ConfigurationError
 from repro.dissemination.executor import disseminate as object_disseminate
 from repro.dissemination.policies import (
@@ -61,6 +67,7 @@ from repro.dissemination.snapshot import OverlaySnapshot
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import run_sweep
 from repro.experiments.sweep_spec import flat_spec
+from tests import flooding_memory
 from tests.conftest import build_snapshot
 
 POLICIES = (FloodingPolicy(), RandCastPolicy(), RingCastPolicy())
@@ -238,6 +245,148 @@ class TestFastPath:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+def union_snapshot(rng: random.Random, n: int) -> OverlaySnapshot:
+    """A snapshot whose flooding unions need deduplicating: repeated
+    r-links, d-links repeated among the r-links, links to dead nodes
+    (some of them in nobody's table), and empty or missing rows."""
+    ids = rng.sample(range(n * 3), n)
+    lingering = rng.sample(range(n * 3, n * 3 + 3), rng.randint(0, 3))
+    rlinks = {}
+    dlinks = {}
+    for i in ids:
+        targets = ids + lingering
+        dl = tuple(rng.choice(targets) for _ in range(rng.randint(0, 3)))
+        pool = list(dl) + [rng.choice(targets) for _ in range(3)]
+        rl = tuple(rng.choice(pool) for _ in range(rng.randint(0, 7)))
+        if dl or rng.random() < 0.5:
+            dlinks[i] = dl
+        if rl or rng.random() < 0.5:
+            rlinks[i] = rl
+    alive = [i for i in ids if rng.random() < 0.8] or [ids[0]]
+    return OverlaySnapshot(
+        kind="ringcast",
+        rlinks=rlinks,
+        dlinks=dlinks,
+        alive_ids=tuple(sorted(alive)),
+    )
+
+
+def loop_out_csr(overlay: ArrayOverlay):
+    """``ArrayOverlay.out_csr`` as it stood before it was vectorised
+    (kept verbatim as the order oracle)."""
+    counts = np.zeros(len(overlay.ids) + 1, dtype=np.int64)
+    flat: list = []
+    d_indptr = overlay.d_indptr.tolist()
+    r_indptr = overlay.r_indptr.tolist()
+    d_targets = overlay.d_targets.tolist()
+    r_targets = overlay.r_targets.tolist()
+    for row in range(len(overlay.ids)):
+        seen: list = []
+        for link in (
+            d_targets[d_indptr[row]:d_indptr[row + 1]]
+            + r_targets[r_indptr[row]:r_indptr[row + 1]]
+        ):
+            if link not in seen:
+                seen.append(link)
+        counts[row + 1] = len(seen)
+        flat.extend(seen)
+    return np.cumsum(counts), np.asarray(flat, dtype=np.int64)
+
+
+class TestOutCsr:
+    @given(case=st.integers(min_value=0, max_value=10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_and_out_links(self, case):
+        rng = random.Random(case)
+        snapshot = union_snapshot(rng, rng.randint(1, 30))
+        overlay = ArrayOverlay.from_snapshot(snapshot)
+        indptr, targets = overlay.out_csr()
+        want_indptr, want_targets = loop_out_csr(overlay)
+        assert indptr.dtype == targets.dtype == np.int64
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(targets, want_targets)
+        ids = overlay.ids.tolist()
+        for row, node_id in enumerate(ids):
+            links = targets[indptr[row]:indptr[row + 1]].tolist()
+            assert tuple(ids[i] for i in links) == snapshot.out_links(node_id)
+
+
+# Frontier blocks of 1-3 rows cut every hop of a small batch into many
+# blocks, so a key repeated across a block boundary is the rule.
+BLOCK_SIZES = (1, 2, 3)
+
+
+def fast_batch(snapshot, policy, fanout, origins, seed, collect_load):
+    return disseminate_many(
+        ArrayOverlay.from_snapshot(snapshot),
+        policy,
+        fanout,
+        origins,
+        np.random.Generator(np.random.PCG64(seed)),
+        collect_load=collect_load,
+    )
+
+
+class TestFloodingBlocks:
+    """A flooding hop runs in ``engine._FLOOD_BLOCK_ROWS``-row blocks;
+    the answer must not depend on where the blocks are cut."""
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    def test_flooding_equals_the_object_core(self, monkeypatch, rows):
+        monkeypatch.setattr(engine, "_FLOOD_BLOCK_ROWS", rows)
+        for case in range(30):
+            rng = random.Random(9000 + case)
+            snapshot = union_snapshot(rng, rng.randint(2, 40))
+            origins = [rng.choice(snapshot.alive_ids) for _ in range(4)]
+            collect_load = case % 2 == 0
+            batch = fast_batch(
+                snapshot, FloodingPolicy(), 3, origins, case, collect_load
+            )
+            for origin, fast in zip(origins, batch):
+                assert fast == object_disseminate(
+                    snapshot,
+                    FloodingPolicy(),
+                    3,
+                    origin,
+                    random.Random(0),
+                    collect_load=collect_load,
+                )
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "policy", [RandCastPolicy(), RingCastPolicy()], ids=lambda p: p.name
+    )
+    def test_drawn_policies_ignore_the_block_size(
+        self, monkeypatch, rows, policy
+    ):
+        cases = []
+        for case in range(20):
+            rng = random.Random(9500 + case)
+            snapshot = union_snapshot(rng, rng.randint(2, 40))
+            origins = [rng.choice(snapshot.alive_ids) for _ in range(4)]
+            cases.append((snapshot, rng.randint(1, 5), origins, case))
+        default = [
+            fast_batch(snapshot, policy, fanout, origins, seed, seed % 2 == 0)
+            for snapshot, fanout, origins, seed in cases
+        ]
+        monkeypatch.setattr(engine, "_FLOOD_BLOCK_ROWS", rows)
+        assert default == [
+            fast_batch(snapshot, policy, fanout, origins, seed, seed % 2 == 0)
+            for snapshot, fanout, origins, seed in cases
+        ]
+
+    def test_traced_peak_is_state_plus_one_block(self):
+        """At N = 20 000 whole-frontier flooding hops traced ≈ 47 MiB
+        against this ≈ 31 MiB bound. It counts bytes, not time, so the
+        machine's speed cannot move it."""
+        snapshot = flooding_memory.synthetic_snapshot(20_000)
+        overlay = ArrayOverlay.from_snapshot(snapshot)
+        origins = flooding_memory.origins_of(snapshot)
+        results, peak = flooding_memory.traced_flooding(overlay, origins)
+        assert [r.complete for r in results] == [True] * len(origins)
+        assert peak <= flooding_memory.peak_bound(overlay, len(origins))
 
 
 # ----------------------------------------------------------------------
@@ -466,6 +615,113 @@ class TestCodec:
         )
         with pytest.raises(SnapshotCodecError):
             decode_overlay(encode_snapshot(broken))
+
+
+@functools.lru_cache(maxsize=None)
+def codec_arrays():
+    """The header and arrays of a real N = 60 payload."""
+    payload = encode_snapshot(
+        build_snapshot("ringcast", num_nodes=60, warmup=20)
+    )
+    with np.load(io.BytesIO(payload)) as data:
+        return payload, {key: data[key] for key in data.files}
+
+
+def payload_with(**replaced) -> bytes:
+    """The real payload's arrays with some replaced, re-packed."""
+    arrays = dict(codec_arrays()[1], **replaced)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def header_array(**fields) -> np.ndarray:
+    header = dict(format=CODEC_FORMAT, kind="ringcast", frozen_at_cycle=0)
+    header.update(fields)
+    return np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+
+
+def rejects_or_round_trips(payload: bytes) -> None:
+    """The decoder's contract: a payload raises SnapshotCodecError or
+    decodes to a snapshot that re-encodes to the same snapshot."""
+    try:
+        snapshot = decode_snapshot(payload)
+    except SnapshotCodecError:
+        return
+    assert decode_snapshot(encode_snapshot(snapshot)) == snapshot
+
+
+def crafted(key: str, array) -> bytes:
+    return payload_with(**{key: np.asarray(array)})
+
+
+def real(key: str) -> np.ndarray:
+    return codec_arrays()[1][key]
+
+
+CRAFTED = {
+    "float ids": lambda: crafted("ids", real("ids") + 0.5),
+    "duplicate ids": lambda: crafted(
+        "ids", np.concatenate([real("ids")[:1], real("ids")[:-1]])
+    ),
+    "unsorted ids": lambda: crafted("ids", real("ids")[::-1]),
+    "bool r_targets": lambda: crafted("r_targets", real("r_targets") > 3),
+    "2-D ids": lambda: crafted("ids", real("ids").reshape(1, -1)),
+    "float r_indptr": lambda: crafted("r_indptr", real("r_indptr") * 1.0),
+    "int d_haskey": lambda: crafted("d_haskey", real("d_haskey") * 2),
+    "repeated alive index": lambda: crafted(
+        "alive_order", np.concatenate([real("alive_order")[:1]] * 2)
+    ),
+    "infinite frozen_at_cycle": lambda: payload_with(
+        header=header_array(frozen_at_cycle=float("inf"))
+    ),
+}
+
+fuzz_dtypes = st.sampled_from(
+    [np.int64, np.int32, np.uint8, np.float64, np.bool_]
+)
+
+
+class TestCodecFuzz:
+    """``decode_overlay``'s contract — any malformed payload raises
+    ``SnapshotCodecError`` — under byte corruption and crafted arrays
+    that load but disagree with what the overlay assumes."""
+
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 2**20), st.integers(0, 255)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_byte_mutations(self, edits):
+        payload = bytearray(codec_arrays()[0])
+        for position, byte in edits:
+            payload[position % len(payload)] = byte
+        rejects_or_round_trips(bytes(payload))
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_arrays_are_rejected(self, case):
+        with pytest.raises(SnapshotCodecError):
+            decode_overlay(CRAFTED[case]())
+
+    @given(
+        key=st.sampled_from(sorted(codec_arrays()[1].keys() - {"header"})),
+        dtype=fuzz_dtypes,
+        values=st.lists(st.integers(-3, 80), max_size=80),
+        two_d=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_replaced_arrays(self, key, dtype, values, two_d):
+        array = np.array(values).astype(dtype)
+        if two_d:
+            array = array.reshape(1, -1)
+        rejects_or_round_trips(crafted(key, array))
+
+    def test_the_unaltered_arrays_decode(self):
+        # Keeps the crafted cases honest: re-packing alone breaks nothing.
+        decode_overlay(payload_with())
 
 
 # ----------------------------------------------------------------------
